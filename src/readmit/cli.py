@@ -79,7 +79,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name in ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map"):
         if getattr(args, name, None):
             setattr(cfg, name, getattr(args, name))
-    return cfg
+    return cfg.validate()
 
 
 def main(argv=None) -> int:

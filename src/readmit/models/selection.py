@@ -4,12 +4,14 @@ At each step the candidate column whose inclusion maximizes the
 likelihood-ratio statistic (twice the unpenalized log-likelihood gain over
 the current model) is added; selection stops when the best candidate's
 chi-square p-value on one degree of freedom reaches the significance
-threshold.
+threshold. Each candidate fit starts from the current model's coefficients
+with 0 for the new column, so it needs only a few Newton steps.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +25,29 @@ def chi2_sf_1df(stat: float) -> float:
     return math.erfc(math.sqrt(stat / 2.0))
 
 
-def _loglik(X, y, l2, tol, max_iter) -> float:
-    """Unpenalized log-likelihood at the (lightly penalized) fit."""
-    model = fit_logistic(X, y, l2_penalty=l2, tol=tol, max_iter=max_iter)
-    return -penalized_nll(X, y, model.weights, model.intercept, 0.0)
+@dataclass
+class SelectionStep:
+    column: int
+    statistic: float
+    p_value: float
+
+
+@dataclass
+class Selection:
+    """Accepted steps in inclusion order, the number of logistic fits run
+    and the column sets of those fits that stopped unconverged; ``len()``
+    is the number of steps."""
+
+    steps: list[SelectionStep]
+    fits: int
+    unconverged: list[list[int]]
+
+    @property
+    def columns(self) -> list[int]:
+        return [step.column for step in self.steps]
+
+    def __len__(self) -> int:
+        return len(self.steps)
 
 
 def loglik_feature_select(
@@ -36,25 +57,42 @@ def loglik_feature_select(
     l2_penalty: float = 1e-6,
     tol: float = 1e-6,
     max_iter: int = 200,
-) -> list[int]:
-    """Column indices in inclusion order. Constant columns are skipped."""
+) -> Selection:
+    """Forward selection over the columns of ``X``; constant columns are
+    skipped."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
-    usable = [j for j in range(d) if X[:, j].min() != X[:, j].max()]
+    usable = [j for j in range(X.shape[1]) if X[:, j].min() != X[:, j].max()]
+    steps: list[SelectionStep] = []
+    unconverged: list[list[int]] = []
+    fits = 0
+
+    def fit(columns, start):
+        nonlocal fits
+        trial = X[:, columns]
+        model = fit_logistic(trial, y, l2_penalty=l2_penalty, tol=tol,
+                             max_iter=max_iter, start=start)
+        fits += 1
+        if not model.converged:
+            unconverged.append(list(columns))
+        # unpenalized log-likelihood at the (lightly penalized) fit
+        return model, -penalized_nll(trial, y, model.weights, model.intercept, 0.0)
+
     selected: list[int] = []
-    current_ll = _loglik(X[:, :0], y, l2_penalty, tol, max_iter)
+    current, current_ll = fit([], None)
     while usable:
-        best_j, best_stat, best_ll = None, -math.inf, None
+        best_j, best_stat, best = None, -math.inf, None
+        start = (np.append(current.weights, 0.0), current.intercept)
         for j in usable:
-            trial = X[:, selected + [j]]
-            ll = _loglik(trial, y, l2_penalty, tol, max_iter)
+            model, ll = fit(selected + [j], start)
             stat = 2.0 * (ll - current_ll)
             if stat > best_stat:
-                best_j, best_stat, best_ll = j, stat, ll
-        if best_j is None or chi2_sf_1df(max(best_stat, 0.0)) >= significance:
+                best_j, best_stat, best = j, stat, (model, ll)
+        p_value = chi2_sf_1df(max(best_stat, 0.0))
+        if best_j is None or p_value >= significance:
             break
+        steps.append(SelectionStep(best_j, best_stat, p_value))
         selected.append(best_j)
         usable.remove(best_j)
-        current_ll = best_ll
-    return selected
+        current, current_ll = best
+    return Selection(steps, fits, unconverged)

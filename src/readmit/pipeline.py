@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date
@@ -36,6 +37,7 @@ from .models import (
     fit_random_forest, grid_search, loglik_feature_select, pca_transform,
     rf_fold_auc, save_bundle, svm_fold_auc, write_grid_csv,
 )
+from .models.logistic import nll_gradient
 from .models.persist import BUNDLE_KINDS, load_bundle
 from .evaluation import build_report, write_report_csv, write_roc_csv
 from .seeding import FOREST_STREAM, derive_seed
@@ -60,6 +62,18 @@ DEFAULT_GENERATOR = {
     "noise_claim_rate": 0.3,
     "hospital_visit_rate": 0.15,
     "signals": [],
+}
+
+# Scalar config fields no stage can run with outside these limits:
+# name -> (integer only, accepts, what is wanted).
+CONFIG_LIMITS = {
+    "fold_count": (True, lambda v: v >= 2, "an integer >= 2"),
+    "lr_max_iter": (True, lambda v: v >= 1, "an integer >= 1"),
+    "lr_tol": (False, lambda v: v > 0, "a number > 0"),
+    "lr_l2": (False, lambda v: v >= 0, "a number >= 0"),
+    "selection_significance": (False, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "train_fraction": (False, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "threshold": (False, lambda v: True, "a finite number"),
 }
 
 
@@ -109,7 +123,18 @@ class RunConfig:
                 setattr(cfg, key, merged)
             else:
                 setattr(cfg, key, value)
-        return cfg
+        return cfg.validate()
+
+    def validate(self) -> "RunConfig":
+        """Raise ConfigError, before any stage runs, on a value in
+        ``CONFIG_LIMITS`` that is out of range or of the wrong type."""
+        for name, (integer, accepts, wanted) in CONFIG_LIMITS.items():
+            value = getattr(self, name)
+            kinds = int if integer else (int, float)
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or not math.isfinite(value) or not accepts(value)):
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        return self
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -161,7 +186,8 @@ def _log(stage: str, **info):
     print(f"stage={stage} {detail}".rstrip(), file=sys.stderr)
 
 
-def _write_manifest(cfg: RunConfig, stage: str, out_dir: Path):
+def _write_manifest(cfg: RunConfig, stage: str, out_dir: Path, **facts):
+    """``facts`` are deterministic stage diagnostics added to the manifest."""
     manifest = {
         "stage": stage,
         "config": json.loads(cfg.canonical_json()),
@@ -169,6 +195,7 @@ def _write_manifest(cfg: RunConfig, stage: str, out_dir: Path):
         "seed": cfg.seed,
         "package_version": __version__,
         "schema_version": SCHEMA_VERSION,
+        **facts,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -245,39 +272,77 @@ def stage_features(cfg: RunConfig, out_root: Path) -> Path:
     return out_dir
 
 
+def _fit_report(kind: str, model, X, y) -> dict:
+    """Convergence facts of one final logistic fit; an unconverged fit is
+    also reported on stderr."""
+    grad_w, grad_b = nll_gradient(X, y, model.weights, model.intercept, model.l2_penalty)
+    grad_max = max(float(np.max(np.abs(grad_w), initial=0.0)), abs(grad_b))
+    if not model.converged:
+        _log("train", unconverged_fit=kind, n_iter=model.n_iter, grad_max=f"{grad_max:.3g}")
+    return {"converged": model.converged, "n_iter": model.n_iter, "grad_max": grad_max}
+
+
+def _selection_report(selection, names: list[str]) -> dict:
+    """The selection path by column name and the count of candidate fits
+    that did not converge, each of which is also reported on stderr."""
+    for columns in selection.unconverged:
+        _log("train", unconverged_selection_fit=",".join(names[j] for j in columns)
+             or "intercept-only")
+    return {
+        "path": [{"column": names[step.column], "statistic": step.statistic,
+                  "p_value": step.p_value} for step in selection.steps],
+        "fits": selection.fits,
+        "unconverged_fits": len(selection.unconverged),
+    }
+
+
 def train_models(cfg: RunConfig, matrix, train, folds):
     """Fit the six pipeline variants on the training matrix; returns
-    (bundles by kind, rf grid result, svm grid result)."""
+    (bundles by kind, rf grid result, svm grid result, diagnostics), where
+    diagnostics holds the convergence of each final logistic fit and the
+    selection path."""
     svm_grid = {"C": list(cfg.svm_c_grid), "epochs": [cfg.svm_epochs]}
     expand_grid(cfg.rf_grid)       # validate both grids before any fitting
     expand_grid(svm_grid)
 
     cols = matrix.column_names
     Xtr, ytr = train.X, train.y
+    lr_fits: dict[str, dict] = {}
+    selections: dict[str, dict] = {}
+
+    def fit_lr(kind, X, column_names=None):
+        model = fit_logistic(X, ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter,
+                             column_names=column_names)
+        lr_fits[kind] = _fit_report(kind, model, X, ytr)
+        return model
 
     bundles: dict[str, ModelBundle] = {}
-    lr_all = fit_logistic(Xtr, ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter, column_names=cols)
+    lr_all = fit_lr("lr_all", Xtr, column_names=cols)
     bundles["lr_all"] = ModelBundle(kind="lr_all", column_names=cols, lr=lr_all)
 
-    selected_idx = loglik_feature_select(Xtr, ytr, cfg.selection_significance)
+    selection = loglik_feature_select(Xtr, ytr, cfg.selection_significance)
+    selections["lr_selected"] = _selection_report(selection, cols)
+    selected_idx = selection.columns
     selected_names = [cols[i] for i in selected_idx]
-    lr_sel = fit_logistic(Xtr[:, selected_idx], ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
+    lr_sel = fit_lr("lr_selected", Xtr[:, selected_idx])
     bundles["lr_selected"] = ModelBundle(
         kind="lr_selected", column_names=cols,
         selected_columns=selected_names, lr=lr_sel,
     )
 
     pca_all = fit_pca(Xtr, cfg.pca_variance_target, column_names=cols)
-    lr_pca = fit_logistic(pca_transform(pca_all, Xtr), ytr,
-                          cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
+    lr_pca = fit_lr("pca_lr", pca_transform(pca_all, Xtr))
     bundles["pca_lr"] = ModelBundle(kind="pca_lr", column_names=cols, pca=pca_all, lr=lr_pca)
 
     if cfg.select_after_pca:
         # Alternative reading: project first, then select components; the
         # unselected components keep zero weight so scoring stays uniform.
         Ztr = pca_transform(pca_all, Xtr)
-        comp_idx = loglik_feature_select(Ztr, ytr, cfg.selection_significance)
-        lr_comp = fit_logistic(Ztr[:, comp_idx], ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
+        comp_selection = loglik_feature_select(Ztr, ytr, cfg.selection_significance)
+        selections["pca_lr_selected"] = _selection_report(
+            comp_selection, [f"pc{j + 1}" for j in range(Ztr.shape[1])])
+        comp_idx = comp_selection.columns
+        lr_comp = fit_lr("pca_lr_selected", Ztr[:, comp_idx])
         weights = np.zeros(Ztr.shape[1])
         weights[comp_idx] = lr_comp.weights
         lr_comp.weights = weights
@@ -292,8 +357,7 @@ def train_models(cfg: RunConfig, matrix, train, folds):
                 "feature selection kept no columns; cannot build the "
                 "selected-features PCA model"
             )
-        lr_pca_sel = fit_logistic(pca_transform(pca_sel, Xtr[:, selected_idx]), ytr,
-                                  cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
+        lr_pca_sel = fit_lr("pca_lr_selected", pca_transform(pca_sel, Xtr[:, selected_idx]))
         bundles["pca_lr_selected"] = ModelBundle(
             kind="pca_lr_selected", column_names=cols,
             selected_columns=selected_names, pca=pca_sel, lr=lr_pca_sel,
@@ -310,7 +374,8 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     svm_best = fit_linear_svm(Xtr, ytr, seed=cfg.seed, column_names=cols, **svm_result.winner)
     bundles["svm_best"] = ModelBundle(kind="svm_best", column_names=cols, svm=svm_best)
 
-    return bundles, rf_result, svm_result
+    diagnostics = {"lr_fits": lr_fits, "selection": selections}
+    return bundles, rf_result, svm_result, diagnostics
 
 
 def _build_matrix(cfg: RunConfig, features_path: Path):
@@ -340,14 +405,14 @@ def stage_train(cfg: RunConfig, out_root: Path, features_path: Path | None = Non
     features_path = features_path or out_root / "features" / "features.csv"
     matrix, train, test = _build_matrix(cfg, features_path)
     folds = stratified_kfold(train.y, cfg.fold_count, cfg.seed)
-    bundles, rf_result, svm_result = train_models(cfg, matrix, train, folds)
+    bundles, rf_result, svm_result, diagnostics = train_models(cfg, matrix, train, folds)
     for kind, bundle in bundles.items():
         save_bundle(bundle, out_dir / f"{kind}.model")
     write_grid_csv(rf_result, out_dir / "rf_grid.csv")
     write_grid_csv(svm_result, out_dir / "svm_grid.csv")
     write_matrix_csv(matrix, out_dir / "matrix.csv")
     _write_split_manifest(cfg, train, test, out_dir / "split_manifest.json")
-    _write_manifest(cfg, "train", out_dir)
+    _write_manifest(cfg, "train", out_dir, **diagnostics)
     _log("train", rf_configs=len(rf_result.configs), svm_configs=len(svm_result.configs),
          rf_winner=rf_result.winner, selected=len(bundles["lr_selected"].selected_columns or []))
     return out_dir

@@ -101,7 +101,7 @@ class TestFeatureSelection:
         noise = rng.normal(size=(n, 8))
         y = (rng.random(n) < np.where(signal == 1, 0.8, 0.2)).astype(float)
         X = np.column_stack([noise[:, :4], signal, noise[:, 4:]])
-        selected = loglik_feature_select(X, y, significance=0.05)
+        selected = loglik_feature_select(X, y, significance=0.05).columns
         assert selected[0] == 4
 
     def test_permuted_labels_select_near_nothing(self):
@@ -109,14 +109,14 @@ class TestFeatureSelection:
         n, d = 300, 10
         X = rng.normal(size=(n, d))
         y = rng.permutation(np.repeat([0.0, 1.0], n // 2))
-        selected = loglik_feature_select(X, y, significance=0.05)
+        selected = loglik_feature_select(X, y, significance=0.05).columns
         # forward selection over d null columns admits roughly
         # significance * d false positives
         assert len(selected) <= 3
 
     def test_zero_columns_selects_nothing(self):
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        assert loglik_feature_select(np.empty((4, 0)), y) == []
+        assert loglik_feature_select(np.empty((4, 0)), y).columns == []
 
     def test_constant_columns_skipped(self):
         rng = np.random.default_rng(3)
@@ -124,7 +124,78 @@ class TestFeatureSelection:
         signal = rng.integers(0, 2, n).astype(float)
         y = (rng.random(n) < np.where(signal == 1, 0.9, 0.1)).astype(float)
         X = np.column_stack([np.ones(n), signal])
-        assert loglik_feature_select(X, y) == [1]
+        assert loglik_feature_select(X, y).columns == [1]
+
+
+def g_statistic(x, y):
+    """2x2 G-statistic 2 * sum O ln(O / E) of a binary column against the
+    labels: the likelihood-ratio statistic in closed form."""
+    observed = np.array([[np.sum((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)],
+                        dtype=float)
+    expected = observed.sum(1, keepdims=True) * observed.sum(0, keepdims=True) / len(y)
+    return 2.0 * float(np.sum(observed * np.log(observed / expected)))
+
+
+def unpenalized_loglik(X, y):
+    model = fit_logistic(X, y, l2_penalty=1e-6, tol=1e-6, max_iter=200)
+    return -penalized_nll(X, y, model.weights, model.intercept, 0.0)
+
+
+class TestLikelihoodRatioOracles:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_statistic_equals_two_by_two_g_statistic(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        x = rng.integers(0, 2, n).astype(float)
+        y = (rng.random(n) < np.where(x == 1, 0.35, 0.15)).astype(float)
+        selection = loglik_feature_select(x[:, None], y, significance=0.999)
+        assert selection.columns == [0]
+        expected = g_statistic(x, y)
+        assert abs(selection.steps[0].statistic - expected) <= 1e-6 * expected
+        assert selection.steps[0].p_value == chi2_sf_1df(selection.steps[0].statistic)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_started_statistics_equal_cold_fits(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 500
+        X = rng.integers(0, 2, (n, 6)).astype(float)
+        logit = -1.5 + 1.2 * X[:, 1] - 1.0 * X[:, 4]
+        y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(float)
+        selection = loglik_feature_select(X, y, significance=0.01)
+        assert len(selection) >= 2
+        assert selection.fits > len(selection) and not selection.unconverged
+        cold_ll = [unpenalized_loglik(X[:, :0], y)]
+        for k, step in enumerate(selection.steps):
+            cold_ll.append(unpenalized_loglik(X[:, selection.columns[:k + 1]], y))
+            cold = 2.0 * (cold_ll[-1] - cold_ll[-2])
+            assert abs(step.statistic - cold) <= 1e-6 * cold
+
+    def test_rare_all_negative_column_converges(self):
+        rng = np.random.default_rng(9)
+        n = 500
+        noise = rng.normal(size=n)
+        y = (rng.random(n) < 0.2).astype(float)
+        rare = np.zeros(n)
+        rare[np.flatnonzero(y == 0)[:3]] = 1.0
+        X = np.column_stack([noise, rare])
+        model = fit_logistic(X, y, l2_penalty=1e-4, tol=1e-6, max_iter=500)
+        assert model.converged
+        gw, gb = nll_gradient(X, y, model.weights, model.intercept, 1e-4)
+        assert max(np.max(np.abs(gw)), abs(gb)) < 1e-6
+        assert model.weights[1] < -5.0
+
+    def test_start_at_optimum_takes_no_step(self):
+        X, y = random_instance(4, n=60, d=3)
+        model = fit_logistic(X, y, l2_penalty=1e-3)
+        again = fit_logistic(X, y, l2_penalty=1e-3, start=(model.weights, model.intercept))
+        assert again.converged and again.n_iter == 0
+        assert np.array_equal(again.weights, model.weights)
+
+    def test_unconverged_candidate_fits_are_reported(self):
+        X, y = random_instance(2, n=80, d=3)
+        selection = loglik_feature_select(X, y, significance=0.999, max_iter=1)
+        assert selection.unconverged
+        assert len(selection.unconverged) <= selection.fits
 
 
 def test_chi2_survival_reference_values():

@@ -94,6 +94,22 @@ class TestCliRuns:
             assert len(manifest["config_hash"]) == 64
             assert manifest["config"]["fold_count"] == 3  # full config rides along
 
+    def test_train_manifest_reports_fits_and_selection_path(self, small_run):
+        models = small_run["out"] / "models"
+        manifest = json.loads((models / "manifest.json").read_text())
+        assert set(manifest["lr_fits"]) == {"lr_all", "lr_selected", "pca_lr",
+                                            "pca_lr_selected"}
+        for fit in manifest["lr_fits"].values():
+            assert fit["converged"] is True
+            assert 0 < fit["n_iter"] <= SMALL_CONFIG["lr_max_iter"]
+            assert fit["grad_max"] < 1e-6
+        selection = manifest["selection"]["lr_selected"]
+        assert selection["unconverged_fits"] == 0
+        path = [step["column"] for step in selection["path"]]
+        assert path == load_bundle(models / "lr_selected.model").selected_columns
+        assert all(step["p_value"] < 0.05 and step["statistic"] > 3.84
+                   for step in selection["path"])
+
     def test_rerun_is_byte_identical(self, small_run, tmp_path):
         out2 = tmp_path / "again"
         assert main(["all", "--config", str(small_run["config_path"]),
@@ -185,6 +201,29 @@ class TestCliExitCodes:
         assert main(["generate", "--config", str(config_path),
                      "--out", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize("bad", [
+        {"fold_count": 1},
+        {"fold_count": 2.5},
+        {"lr_max_iter": 0},
+        {"lr_tol": 0},
+        {"lr_l2": -1e-4},
+        {"selection_significance": 1.0},
+        {"selection_significance": 0},
+        {"train_fraction": 1},
+        {"threshold": "x"},
+        {"threshold": True},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
+        assert not out.exists()
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_non_finite_threshold_flag_exit_5(self, tmp_path):
+        assert main(["all", "--threshold", "nan", "--out", str(tmp_path / "o")]) == 5
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["train"])  # --out is required
@@ -208,7 +247,7 @@ class TestPersistence:
         matrix = self.make_matrix(mappings)
         train, test = train_test_split(matrix, cfg.split_spec())
         folds = stratified_kfold(train.y, 3, cfg.seed)
-        bundles, rf_result, svm_result = train_models(cfg, matrix, train, folds)
+        bundles, rf_result, svm_result, _ = train_models(cfg, matrix, train, folds)
         assert len(rf_result.configs) == 2 and len(svm_result.configs) == 2
         for kind, bundle in bundles.items():
             path = tmp_path / f"{kind}.model"
@@ -241,7 +280,7 @@ class TestPersistence:
         matrix = self.make_matrix(mappings)
         train, test = train_test_split(matrix, cfg.split_spec())
         folds = stratified_kfold(train.y, 3, cfg.seed)
-        bundles, _, _ = train_models(cfg, matrix, train, folds)
+        bundles, _, _, _ = train_models(cfg, matrix, train, folds)
         bundle = bundles["pca_lr_selected"]
         assert bundle.selected_columns is None          # selection happened in component space
         assert bundle.pca is not None
