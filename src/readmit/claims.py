@@ -236,11 +236,21 @@ def _write_table(dest, columns, rows):
             fh.close()
 
 
+def _other_diagnoses_field(record: MedicalClaim) -> str:
+    if NO_DIAGNOSIS_SENTINEL in record.other_diagnoses:
+        raise ValueError(
+            f"claim {record.claim_id}: other diagnosis {NO_DIAGNOSIS_SENTINEL} is the "
+            "no-diagnosis marker and would be read back as no diagnosis"
+        )
+    return ";".join(record.other_diagnoses) or NO_DIAGNOSIS_SENTINEL
+
+
 def write_medical_claims(records, dest):
+    """Raises ValueError for a record whose other diagnoses hold the
+    no-diagnosis marker, which the parser drops."""
     _write_table(dest, MEDICAL_COLUMNS, (
         [r.user_id, r.claim_id, r.service_start.isoformat(), r.service_end.isoformat(),
-         r.primary_diagnosis, ";".join(r.other_diagnoses) or NO_DIAGNOSIS_SENTINEL,
-         r.cpt_code]
+         r.primary_diagnosis, _other_diagnoses_field(r), r.cpt_code]
         for r in records
     ))
 

@@ -67,19 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
-    if args.strict is not None:
-        cfg.strict = args.strict
+    """The config file's values with the flags given on top, validated once
+    against the final input paths."""
+    overrides = {name: getattr(args, name) for name in ("seed", "jobs", "threshold", "strict")
+                 if getattr(args, name) is not None}
     for name in ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map"):
         if getattr(args, name, None):
-            setattr(cfg, name, getattr(args, name))
-    return cfg.validate()
+            overrides[name] = getattr(args, name)
+    if args.config:
+        return RunConfig.from_json(args.config, **overrides)
+    return RunConfig.from_dict(overrides)
 
 
 def main(argv=None) -> int:

@@ -111,11 +111,7 @@ def _write_rf(w: _Writer, model: RandomForestModel):
     w.vector("rf.importances", model.importances)
     for t, tree in enumerate(model.trees):
         w.section(f"rf.tree.{t}")
-        for k in range(len(tree.feature)):
-            w.lines.append(
-                f"{tree.feature[k]} {tree.threshold[k].item()!r} {tree.left[k]} "
-                f"{tree.right[k]} {tree.value[k].item()!r} {tree.n_samples[k]}"
-            )
+        w.lines += tree.node_lines()
 
 
 def _write_svm(w: _Writer, model: LinearSvmModel):

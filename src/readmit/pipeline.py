@@ -26,8 +26,8 @@ from .claims import (
 )
 from .codes import load_code_mappings
 from .dataset import (
-    SplitSpec, one_hot_encode, stratified_kfold, train_test_split,
-    write_matrix_csv,
+    SplitSpec, feature_columns, one_hot_encode, stratified_kfold,
+    train_test_split, write_matrix_csv,
 )
 from .episodes import build_labeled_admissions, write_admissions_csv
 from .errors import ConfigError, ReadmitError
@@ -127,22 +127,43 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError, before any stage runs, on a value in
-        ``CONFIG_LIMITS`` that is out of range or of the wrong type."""
+        ``CONFIG_LIMITS`` that is out of range or of the wrong type, or on an
+        ``rf_grid`` that does not give each forest parameter a non-empty list
+        of integers >= 1 with ``mtry`` at most the design-matrix width of the
+        mapping files."""
         for name, (integer, accepts, wanted) in CONFIG_LIMITS.items():
             value = getattr(self, name)
             kinds = int if integer else (int, float)
             if (isinstance(value, bool) or not isinstance(value, kinds)
                     or not math.isfinite(value) or not accepts(value)):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        grid = self.rf_grid
+        if not isinstance(grid, dict) or set(grid) != set(DEFAULT_RF_GRID):
+            raise ConfigError(f"rf_grid must have exactly the keys {list(DEFAULT_RF_GRID)}, "
+                              f"got {grid!r}")
+        for name, values in grid.items():
+            if (not isinstance(values, list) or not values
+                    or any(isinstance(v, bool) or not isinstance(v, int) or v < 1
+                           for v in values)):
+                raise ConfigError(f"rf_grid {name} must be a non-empty list of integers >= 1, "
+                                  f"got {values!r}")
+        width = len(feature_columns(_load_mappings(self)))
+        if max(grid["mtry"]) > width:
+            raise ConfigError(f"rf_grid mtry {max(grid['mtry'])} exceeds the {width} "
+                              "design-matrix columns")
         return self
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
+    def from_json(cls, path, **overrides) -> "RunConfig":
+        """The config in the JSON file at ``path``, with ``overrides``
+        replacing its values before validation."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        return cls.from_dict({**raw, **overrides})
 
     def canonical_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readmit.claims import (
-    DemographicRecord, MedicalClaim, PharmacyClaim, parse_demographics,
-    parse_medical_claims, parse_pharmacy_claims, write_demographics,
-    write_medical_claims, write_pharmacy_claims,
+    NO_DIAGNOSIS_SENTINEL, DemographicRecord, MedicalClaim, PharmacyClaim,
+    parse_demographics, parse_medical_claims, parse_pharmacy_claims,
+    write_demographics, write_medical_claims, write_pharmacy_claims,
 )
 from readmit.errors import ParseError
 
@@ -133,7 +133,10 @@ def medical_claims(draw):
         service_start=start,
         service_end=end,
         primary_diagnosis=draw(icd9_codes),
-        other_diagnoses=tuple(draw(st.lists(icd9_codes, max_size=3))),
+        # 00000 marks "no other diagnosis" in the file format, so it is never
+        # one of a claim's other diagnoses; the writer refuses it.
+        other_diagnoses=tuple(draw(st.lists(
+            icd9_codes.filter(lambda code: code != NO_DIAGNOSIS_SENTINEL), max_size=3))),
         cpt_code=draw(st.from_regex(r"[0-9]{5}", fullmatch=True)),
     )
 
@@ -144,6 +147,16 @@ def test_medical_round_trip(records):
     write_medical_claims(records, buffer)
     reparsed = parse_medical_claims(io.StringIO(buffer.getvalue()))
     assert reparsed.records == records
+
+
+def test_medical_writer_refuses_sentinel_other_diagnosis():
+    claim = MedicalClaim(
+        user_id="User1", claim_id="C1", service_start=date(2017, 4, 1),
+        service_end=date(2017, 4, 1), primary_diagnosis="68250",
+        other_diagnoses=("40201", NO_DIAGNOSIS_SENTINEL), cpt_code="99211",
+    )
+    with pytest.raises(ValueError, match="C1"):
+        write_medical_claims([claim], io.StringIO())
 
 
 @given(st.lists(st.builds(

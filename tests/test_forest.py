@@ -1,10 +1,22 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from readmit.codes import load_code_mappings
+from readmit.dataset import one_hot_encode
+from readmit.episodes import build_labeled_admissions
+from readmit.features import extract_features
 from readmit.models import (
-    fit_random_forest, forest_to_text, rf_importances, rf_predict_proba,
+    ModelBundle, fit_random_forest, forest_to_text, rf_importances,
+    rf_predict_proba, save_bundle,
 )
 from readmit.models.forest import Tree, _tree_scores
+from readmit.seeding import seed_sequence
+from readmit.synth import GeneratorConfig, generate
 
 
 def xor_data(n=200, seed=0):
@@ -55,6 +67,17 @@ class TestFit:
                               nodesize=1, maxnodes=10, seed=0)
 
 
+def _leaf_index(tree, X):
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    while True:
+        active = np.flatnonzero(tree.feature[node] >= 0)
+        if active.size == 0:
+            return node
+        cur = node[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("nodesize,maxnodes", [(1, 8), (5, 32), (9, 4)])
     def test_leaf_size_and_node_budget(self, nodesize, maxnodes):
@@ -72,6 +95,46 @@ class TestStructuralInvariants:
             for node in internal:
                 left, right = tree.left[node], tree.right[node]
                 assert tree.n_samples[node] == tree.n_samples[left] + tree.n_samples[right]
+
+    @given(st.data())
+    def test_node_bookkeeping_on_small_random_inputs(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        levels = data.draw(st.integers(1, 6), label="levels")
+        X = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=n * d,
+                                        max_size=n * d)), dtype=float).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        nodesize = data.draw(st.integers(1, 5), label="nodesize")
+        maxnodes = data.draw(st.integers(1, 20), label="maxnodes")
+        model = fit_random_forest(X, y, ntree=data.draw(st.integers(1, 3)),
+                                  mtry=data.draw(st.integers(1, d)), nodesize=nodesize,
+                                  maxnodes=maxnodes, seed=data.draw(st.integers(0, 2**32)))
+        trees = seed_sequence(model.seed).spawn(model.ntree)
+        split_anywhere = False
+        for tree, tree_seed in zip(model.trees, trees):
+            positives = np.rint(tree.value * tree.n_samples).astype(int)
+            assert tree.n_samples[0] == n
+            # Each leaf holds exactly the bootstrap rows its thresholds route
+            # to it: the tree's first draw is its bootstrap sample.
+            boot = np.random.Generator(np.random.PCG64(tree_seed)).integers(0, n, n)
+            leaf = _leaf_index(tree, X[boot])
+            routed = np.bincount(leaf, minlength=tree.feature.size)
+            routed_pos = np.bincount(leaf, weights=y[boot], minlength=tree.feature.size)
+            is_leaf = tree.feature < 0
+            assert np.array_equal(routed[is_leaf], tree.n_samples[is_leaf])
+            assert np.array_equal(routed_pos[is_leaf], positives[is_leaf])
+            internal = np.flatnonzero(tree.feature >= 0)
+            split_anywhere |= internal.size > 0
+            for node in internal:
+                children = [tree.left[node], tree.right[node]]
+                assert tree.n_samples[node] == tree.n_samples[children].sum()
+                assert positives[node] == positives[children].sum()
+            leaves = np.flatnonzero(tree.feature < 0)
+            assert leaves.size <= maxnodes
+            if internal.size:
+                assert tree.n_samples[leaves].min() >= nodesize
+        total = model.importances.sum()
+        assert abs(total - 1.0) < 1e-12 if split_anywhere else total == 0.0
 
     def test_forest_prediction_is_mean_of_trees(self):
         X, y = xor_data(100, seed=2)
@@ -150,3 +213,69 @@ class TestImportances:
         model = fit_random_forest(X, y, ntree=15, mtry=2, nodesize=2,
                                   maxnodes=32, seed=41)
         assert np.all(model.importances >= 0.0)
+
+
+def _golden_xor():
+    X, y = xor_data(200, seed=0)
+    return X, y, dict(ntree=10, mtry=2, nodesize=1, maxnodes=10_000, seed=3)
+
+
+def _golden_tied_integers():
+    rng = np.random.default_rng(43)
+    X = np.column_stack([rng.integers(0, 4, 150), rng.integers(0, 2, 150),
+                         np.round(rng.random(150), 1), rng.integers(0, 7, 150)])
+    y = (rng.random(150) < 0.2 + 0.15 * X[:, 0]).astype(int)
+    return X.astype(float), y, dict(ntree=10, mtry=2, nodesize=3, maxnodes=40, seed=47)
+
+
+def _golden_maxnodes_binding():
+    rng = np.random.default_rng(53)
+    X = rng.normal(size=(300, 6))
+    y = (rng.random(300) < 0.4).astype(int)
+    return X, y, dict(ntree=10, mtry=3, nodesize=1, maxnodes=8, seed=59)
+
+
+def _golden_single_class():
+    X = np.random.default_rng(61).normal(size=(30, 4))
+    return X, np.ones(30, dtype=int), dict(ntree=5, mtry=2, nodesize=1,
+                                           maxnodes=50, seed=67)
+
+
+def _golden_design_matrix():
+    """A small design matrix built as criterion 7 builds its own: the
+    default generator, episodes, features and the fixed-domain encoding."""
+    mappings = load_code_mappings()
+    data = generate(GeneratorConfig(n_users=150, mean_admissions_per_user=2.0,
+                                    readmission_fraction=0.2, seed=71))
+    labeled, _ = build_labeled_admissions(data.medical, mappings)
+    feats = extract_features(labeled, data.medical, data.pharmacy,
+                             data.demographics, mappings)
+    matrix = one_hot_encode(feats, mappings)
+    return matrix.X, matrix.y, dict(ntree=10, mtry=50, nodesize=7, maxnodes=300, seed=2027)
+
+
+# sha256 of the saved rf_best model file; a change to tree growth that
+# keeps these digests keeps every model file byte for byte.
+GOLDEN_MODEL_SHA256 = {
+    "xor": "2a0252b704c7f4bc569e453b8c1918846265bba9195b5fe7182a3b958d2f815f",
+    "tied_integers": "34fb21255f462210c321498b03fc43ea7357136eeeec9913879c5099a2df2f41",
+    "maxnodes_binding": "0bc16f154c79738777a813ffbc8d392c7c00cf97ddea4089d40bc06a5826a884",
+    "single_class": "867743c7fe9f9c659ed65db40738af703f1f77c5187c9a4590660b51d077e64e",
+    "design_matrix": "93742a7bb6fa82227eb46e492bf4860d3e52b57467ea88b7bb034e3f841da5be",
+}
+GOLDEN_CASES = {
+    "xor": _golden_xor,
+    "tied_integers": _golden_tied_integers,
+    "maxnodes_binding": _golden_maxnodes_binding,
+    "single_class": _golden_single_class,
+    "design_matrix": _golden_design_matrix,
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_saved_model_bytes_are_pinned(case):
+    X, y, params = GOLDEN_CASES[case]()
+    names = [f"c{j}" for j in range(X.shape[1])]
+    model = fit_random_forest(X, y, column_names=names, **params)
+    text = save_bundle(ModelBundle(kind="rf_best", column_names=names, rf=model), io.StringIO())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256[case]

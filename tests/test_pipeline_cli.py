@@ -25,6 +25,10 @@ SMALL_CONFIG = {
 }
 
 
+def _rf_grid(**change) -> dict:
+    return {"rf_grid": {**SMALL_CONFIG["rf_grid"], **change}}
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("run")
@@ -212,6 +216,12 @@ class TestCliExitCodes:
         {"train_fraction": 1},
         {"threshold": "x"},
         {"threshold": True},
+        pytest.param(_rf_grid(mtry=[500]), id="rf_grid-mtry-above-width"),
+        pytest.param(_rf_grid(mtry=[]), id="rf_grid-mtry-empty"),
+        pytest.param(_rf_grid(ntree=[True]), id="rf_grid-ntree-bool"),
+        pytest.param(_rf_grid(nodesize=[0]), id="rf_grid-nodesize-0"),
+        pytest.param(_rf_grid(maxnodes=[2.5]), id="rf_grid-maxnodes-float"),
+        pytest.param({"rf_grid": {"mtry": [5]}}, id="rf_grid-missing-keys"),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
         config_path = tmp_path / "c.json"
