@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .codes import normalize_icd9
 from .errors import ParseError
+from .textio import text_stream
 
 GENDERS = ("M", "F")
 ETHNICITIES = ("White", "Asian", "Hispanic", "Black")
@@ -75,19 +76,17 @@ class ParseResult:
     errors: list[RowError]
 
 
-def _open_text(source):
-    """Accept a path, a text stream, or a byte stream; return (stream, closer)."""
+def _as_text(source):
+    """A path or a text stream as is; bytes or a byte stream decoded as UTF-8."""
     if isinstance(source, (str, Path)):
-        fh = open(source, "r", newline="", encoding="utf-8")
-        return fh, True
+        return source
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), False
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise TypeError(f"unsupported source {type(source)!r}")
+        return io.StringIO(source.decode("utf-8"))
+    if not hasattr(source, "read"):
+        raise TypeError(f"unsupported source {type(source)!r}")
+    if isinstance(source.read(0), bytes):
+        return io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return source
 
 
 def _parse_date(text: str, what: str) -> date:
@@ -105,8 +104,7 @@ def _required(value: str, what: str) -> str:
 
 
 def _parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
-    fh, close = _open_text(source)
-    try:
+    with text_stream(_as_text(source)) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -135,9 +133,6 @@ def _parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
                 continue
             records.append(record)
         return ParseResult(records, errors)
-    finally:
-        if close:
-            fh.close()
 
 
 def _medical_row(fields: dict[str, str]) -> MedicalClaim:
@@ -225,15 +220,10 @@ def parse_demographics(source, strict: bool = True) -> ParseResult:
 
 
 def _write_table(dest, columns, rows):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def _other_diagnoses_field(record: MedicalClaim) -> str:

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import MappingError
 
@@ -33,9 +34,8 @@ ED_CPT_RANGES: tuple[tuple[int, int], ...] = ((99281, 99285),)
 HOSPITAL_VISIT_CPT_RANGES: tuple[tuple[int, int], ...] = (
     (99218, 99223), (99251, 99254),
 )
-# Loaded for completeness; discharge codes are too sparsely billed to be
-# usable for admission detection, so nothing downstream consumes them.
-DISCHARGE_CPT_RANGES: tuple[tuple[int, int], ...] = ((99217, 99217), (99238, 99239))
+# Discharge E&M codes (99217, 99238-99239) are not used: they are billed
+# too rarely to anchor admission detection.
 
 # ICD-9 numeric chapters (inclusive 3-digit category ranges).
 ICD9_CHAPTERS: tuple[tuple[int, int, str], ...] = (
@@ -114,11 +114,10 @@ class CodeMappingConfig:
     comorbidity_map: dict[str, tuple[str, ...]]   # icd9 prefix -> category names
     ccs_ranges: tuple[tuple[int, int, int], ...]  # (cpt_low, cpt_high, ccs_id), sorted
     ccs_labels: dict[int, str]
-    inpatient_cpt: tuple[tuple[int, int], ...] = INPATIENT_CPT_RANGES
-    ed_cpt: tuple[tuple[int, int], ...] = ED_CPT_RANGES
-    hospital_visit_cpt: tuple[tuple[int, int], ...] = HOSPITAL_VISIT_CPT_RANGES
-    discharge_cpt: tuple[tuple[int, int], ...] = DISCHARGE_CPT_RANGES
     _ccs_lows: tuple[int, ...] = field(default=(), repr=False)
+    inpatient_cpt: ClassVar[tuple[tuple[int, int], ...]] = INPATIENT_CPT_RANGES
+    ed_cpt: ClassVar[tuple[tuple[int, int], ...]] = ED_CPT_RANGES
+    hospital_visit_cpt: ClassVar[tuple[tuple[int, int], ...]] = HOSPITAL_VISIT_CPT_RANGES
 
     def comorbidities_for(self, icd9_code: str) -> tuple[str, ...]:
         """Longest-prefix lookup; equal-length ties all apply."""
@@ -210,37 +209,14 @@ def load_ccs_map(path=None):
     return tuple(ranges), labels
 
 
-def load_code_mappings(
-    comorbidity_path=None,
-    ccs_path=None,
-    *,
-    inpatient_cpt=None,
-    ed_cpt=None,
-    hospital_visit_cpt=None,
-    discharge_cpt=None,
-) -> CodeMappingConfig:
-    """Build a validated :class:`CodeMappingConfig`.
-
-    Paths default to the shipped data files; CPT range overrides default to
-    the standard E&M sets.
-    """
+def load_code_mappings(comorbidity_path=None, ccs_path=None) -> CodeMappingConfig:
+    """Build a validated :class:`CodeMappingConfig`; paths default to the
+    shipped data files."""
     comorbidity = load_comorbidity_map(comorbidity_path)
     ccs_ranges, ccs_labels = load_ccs_map(ccs_path)
-    sets = {
-        "inpatient": tuple(inpatient_cpt) if inpatient_cpt else INPATIENT_CPT_RANGES,
-        "ed": tuple(ed_cpt) if ed_cpt else ED_CPT_RANGES,
-        "hospital_visit": tuple(hospital_visit_cpt) if hospital_visit_cpt else HOSPITAL_VISIT_CPT_RANGES,
-        "discharge": tuple(discharge_cpt) if discharge_cpt else DISCHARGE_CPT_RANGES,
-    }
-    for what, ranges in sets.items():
-        sets[what] = _validate_ranges(ranges, f"{what} CPT set")
     return CodeMappingConfig(
         comorbidity_map=comorbidity,
         ccs_ranges=ccs_ranges,
         ccs_labels=ccs_labels,
-        inpatient_cpt=sets["inpatient"],
-        ed_cpt=sets["ed"],
-        hospital_visit_cpt=sets["hospital_visit"],
-        discharge_cpt=sets["discharge"],
         _ccs_lows=tuple(low for low, _, _ in ccs_ranges),
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES
 from .codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, CodeMappingConfig
 from .features import AGE_GROUP_NAMES, MEDICATION_CATEGORIES, AdmissionFeatures
 from .seeding import FOLD_STREAM, SPLIT_STREAM, rng_for
+from .textio import text_stream
 
 
 @dataclass
@@ -218,9 +218,7 @@ def stratified_kfold(y, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def write_matrix_csv(matrix: FeatureMatrix, dest):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["user_id", "admission_id", *matrix.column_names, "target"])
         for r in range(matrix.n_rows):
@@ -230,6 +228,3 @@ def write_matrix_csv(matrix: FeatureMatrix, dest):
                 *(repr(v) for v in matrix.X[r].tolist()),
                 str(int(matrix.y[r])),
             ])
-    finally:
-        if close:
-            fh.close()

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from datetime import date
-from pathlib import Path
 
 from .claims import MedicalClaim
 from .codes import CodeMappingConfig
 from .errors import ReadmitError
+from .textio import text_stream
 
 ADMISSIONS_COLUMNS = [
     "user_id", "admission_id", "start", "end", "is_ed",
@@ -182,9 +182,7 @@ def readmission_rate(labeled: list[LabeledAdmission]) -> float:
 
 
 def write_admissions_csv(labeled: list[LabeledAdmission], dest):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ADMISSIONS_COLUMNS)
         for a in labeled:
@@ -193,6 +191,3 @@ def write_admissions_csv(labeled: list[LabeledAdmission], dest):
                 str(a.is_ed_admission).lower(), str(a.readmitted_within_30d).lower(),
                 str(len(a.removed_readmission_ids)),
             ])
-    finally:
-        if close:
-            fh.close()

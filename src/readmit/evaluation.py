@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .textio import text_stream
 
 AUC_CROSS_CHECK_TOL = 1e-12
 
@@ -177,9 +178,7 @@ def _fmt(value) -> str:
 
 
 def write_report_csv(report: EvaluationReport, dest):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in report.rows:
@@ -188,19 +187,11 @@ def write_report_csv(report: EvaluationReport, dest):
                 _fmt(row.train_specificity), _fmt(row.test_specificity),
                 _fmt(row.train_sensitivity), _fmt(row.test_sensitivity),
             ])
-    finally:
-        if close:
-            fh.close()
 
 
 def write_roc_csv(points, dest):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["threshold", "fpr", "tpr"])
         for fpr, tpr, thr in points:
             writer.writerow([repr(thr), repr(fpr), repr(tpr)])
-    finally:
-        if close:
-            fh.close()

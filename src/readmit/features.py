@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 from .claims import DemographicRecord, MedicalClaim, PharmacyClaim
 from .codes import CodeMappingConfig, OTHER_DIAGNOSIS, icd9_chapter
 from .episodes import LabeledAdmission
 from .errors import ReadmitError
+from .textio import text_stream
 
 AGE_GROUPS: tuple[tuple[str, int, int | None], ...] = (
     ("Touch", 0, 20),
@@ -213,9 +213,7 @@ def extract_features(
 
 
 def write_features_csv(features: list[AdmissionFeatures], dest):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FEATURES_COLUMNS)
         for f in features:
@@ -231,15 +229,10 @@ def write_features_csv(features: list[AdmissionFeatures], dest):
                 ";".join(str(i) for i in sorted(f.procedure_categories)),
                 str(f.readmitted_within_30d).lower(),
             ])
-    finally:
-        if close:
-            fh.close()
 
 
 def read_features_csv(source) -> list[AdmissionFeatures]:
-    fh, close = (open(source, "r", newline="", encoding="utf-8"), True) \
-        if isinstance(source, (str, Path)) else (source, False)
-    try:
+    with text_stream(source, "r") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != FEATURES_COLUMNS:
@@ -271,6 +264,3 @@ def read_features_csv(source) -> list[AdmissionFeatures]:
                 readmitted_within_30d=rec["readmitted_within_30d"] == "true",
             ))
         return out
-    finally:
-        if close:
-            fh.close()

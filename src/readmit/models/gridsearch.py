@@ -13,13 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..evaluation import auc_score
 from ..seeding import GRID_STREAM, derive_seed
+from ..textio import text_stream
 from .forest import fit_random_forest, rf_predict_proba
 from .svm import fit_linear_svm, svm_decision_scores
 
@@ -94,9 +94,7 @@ def grid_search(
 
 
 def write_grid_csv(result: GridSearchResult, dest):
-    fh, close = (open(dest, "w", newline="", encoding="utf-8"), True) \
-        if isinstance(dest, (str, Path)) else (dest, False)
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         n_folds = result.fold_aucs.shape[1]
         writer.writerow(
@@ -111,6 +109,3 @@ def write_grid_csv(result: GridSearchResult, dest):
                 + [repr(float(result.mean_aucs[i])),
                    "1" if i == result.winner_index else "0"]
             )
-    finally:
-        if close:
-            fh.close()

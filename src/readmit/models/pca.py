@@ -1,10 +1,13 @@
 """Principal component analysis on the correlation matrix.
 
 Columns are standardized with training statistics (zero-variance columns
-dropped and recorded), the correlation matrix is diagonalized by a cyclic
-Jacobi sweep, and the smallest prefix of descending-eigenvalue components
-reaching the target explained-variance fraction is retained. Transforming
-new rows always reuses the training statistics.
+dropped and recorded), the correlation matrix is diagonalized by LAPACK's
+symmetric eigensolver (``np.linalg.eigh``), and the smallest prefix of
+descending-eigenvalue components reaching the target explained-variance
+fraction is retained. Each component's sign is fixed so that its
+largest-magnitude entry (the first, on a tie) is positive, which makes the
+saved model independent of the solver's arbitrary signs. Transforming new
+rows always reuses the training statistics.
 """
 
 from __future__ import annotations
@@ -26,62 +29,6 @@ class PcaTransform:
     column_names: list[str] | None = field(default=None, repr=False)
 
 
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues descending, eigenvector columns). Convergence:
-    off-diagonal Frobenius mass below ``tol`` times the matrix Frobenius
-    norm.
-    """
-    A = np.array(matrix, dtype=np.float64)
-    d = A.shape[0]
-    if A.shape != (d, d) or not np.allclose(A, A.T, atol=1e-10):
-        raise ValueError("jacobi_eigh needs a symmetric square matrix")
-    V = np.eye(d)
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0 or d == 1:
-        order = np.argsort(-np.diag(A), kind="stable")
-        return np.diag(A)[order], V[:, order]
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if float(np.linalg.norm(off)) <= tol * norm:
-            break
-        threshold = tol * norm / (d * d)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = diff / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) \
-                    if theta != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                v_p, v_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    V = V[:, order]
-    # Deterministic sign: the largest-magnitude entry of each vector is positive.
-    for j in range(d):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0:
-            V[:, j] = -V[:, j]
-    return eigenvalues, V
-
-
 def fit_pca(X, variance_target: float = 0.95, column_names: list[str] | None = None) -> PcaTransform:
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -96,8 +43,12 @@ def fit_pca(X, variance_target: float = 0.95, column_names: list[str] | None = N
         raise ValueError("all columns are constant; nothing to decompose")
     Z = (X[:, kept] - means[kept]) / stds[kept]
     corr = (Z.T @ Z) / (n - 1)
-    eigenvalues, components = jacobi_eigh(corr)
-    eigenvalues = np.maximum(eigenvalues, 0.0)
+    eigenvalues, components = np.linalg.eigh(corr)
+    eigenvalues = np.maximum(eigenvalues[::-1], 0.0)
+    components = components[:, ::-1]
+    largest = np.argmax(np.abs(components), axis=0)
+    components = components * np.where(
+        components[largest, np.arange(kept.size)] < 0, -1.0, 1.0)
     total = float(eigenvalues.sum())
     explained = eigenvalues / total if total > 0 else eigenvalues
     cumulative = np.cumsum(explained)
@@ -122,10 +73,3 @@ def pca_transform(transform: PcaTransform, X, n_components: int | None = None) -
     k = transform.retained if n_components is None else n_components
     Z = (X[:, transform.kept_columns] - transform.means) / transform.stds
     return Z @ transform.components[:, :k]
-
-
-def pca_inverse_transform(transform: PcaTransform, projected) -> np.ndarray:
-    """Back-project to standardized coordinates over the kept columns."""
-    projected = np.asarray(projected, dtype=np.float64)
-    k = projected.shape[1]
-    return projected @ transform.components[:, :k].T

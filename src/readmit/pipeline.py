@@ -33,7 +33,7 @@ from .episodes import build_labeled_admissions, write_admissions_csv
 from .errors import ConfigError, ReadmitError
 from .features import extract_features, read_features_csv, write_features_csv
 from .models import (
-    ModelBundle, expand_grid, fit_linear_svm, fit_logistic, fit_pca,
+    ModelBundle, fit_linear_svm, fit_logistic, fit_pca,
     fit_random_forest, grid_search, loglik_feature_select, pca_transform,
     rf_fold_auc, save_bundle, svm_fold_auc, write_grid_csv,
 )
@@ -74,7 +74,17 @@ CONFIG_LIMITS = {
     "selection_significance": (False, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "train_fraction": (False, lambda v: 0 < v < 1, "a number in (0, 1)"),
     "threshold": (False, lambda v: True, "a finite number"),
+    "jobs": (True, lambda v: v >= 1, "an integer >= 1"),
+    "pca_variance_target": (False, lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "svm_epochs": (True, lambda v: v >= 1, "an integer >= 1"),
 }
+
+
+def _is_number(value, integer: bool) -> bool:
+    """A finite int (or, unless ``integer``, float); bools are not numbers."""
+    kinds = int if integer else (int, float)
+    return (not isinstance(value, bool) and isinstance(value, kinds)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 @dataclass
@@ -127,24 +137,27 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError, before any stage runs, on a value in
-        ``CONFIG_LIMITS`` that is out of range or of the wrong type, or on an
+        ``CONFIG_LIMITS`` that is out of range or of the wrong type, on an
+        ``svm_c_grid`` that is not a non-empty list of numbers > 0, or on an
         ``rf_grid`` that does not give each forest parameter a non-empty list
         of integers >= 1 with ``mtry`` at most the design-matrix width of the
         mapping files."""
         for name, (integer, accepts, wanted) in CONFIG_LIMITS.items():
             value = getattr(self, name)
-            kinds = int if integer else (int, float)
-            if (isinstance(value, bool) or not isinstance(value, kinds)
-                    or not math.isfinite(value) or not accepts(value)):
+            if not (_is_number(value, integer) and accepts(value)):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        c_grid = self.svm_c_grid
+        if (not isinstance(c_grid, list) or not c_grid
+                or any(not _is_number(c, False) or c <= 0 for c in c_grid)):
+            raise ConfigError("svm_c_grid must be a non-empty list of numbers > 0, "
+                              f"got {c_grid!r}")
         grid = self.rf_grid
         if not isinstance(grid, dict) or set(grid) != set(DEFAULT_RF_GRID):
             raise ConfigError(f"rf_grid must have exactly the keys {list(DEFAULT_RF_GRID)}, "
                               f"got {grid!r}")
         for name, values in grid.items():
             if (not isinstance(values, list) or not values
-                    or any(isinstance(v, bool) or not isinstance(v, int) or v < 1
-                           for v in values)):
+                    or any(not _is_number(v, True) or v < 1 for v in values)):
                 raise ConfigError(f"rf_grid {name} must be a non-empty list of integers >= 1, "
                                   f"got {values!r}")
         width = len(feature_columns(_load_mappings(self)))
@@ -317,15 +330,22 @@ def _selection_report(selection, names: list[str]) -> dict:
     }
 
 
+def _pca_report(transform) -> dict:
+    """Columns kept (non-constant), components retained and the variance
+    fraction they explain."""
+    return {
+        "kept_columns": int(transform.kept_columns.size),
+        "components": transform.retained,
+        "variance_explained": float(transform.explained[:transform.retained].sum()),
+    }
+
+
 def train_models(cfg: RunConfig, matrix, train, folds):
     """Fit the six pipeline variants on the training matrix; returns
     (bundles by kind, rf grid result, svm grid result, diagnostics), where
-    diagnostics holds the convergence of each final logistic fit and the
-    selection path."""
+    diagnostics holds the convergence of each final logistic fit, the
+    selection path and the shape of each PCA."""
     svm_grid = {"C": list(cfg.svm_c_grid), "epochs": [cfg.svm_epochs]}
-    expand_grid(cfg.rf_grid)       # validate both grids before any fitting
-    expand_grid(svm_grid)
-
     cols = matrix.column_names
     Xtr, ytr = train.X, train.y
     lr_fits: dict[str, dict] = {}
@@ -395,7 +415,8 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     svm_best = fit_linear_svm(Xtr, ytr, seed=cfg.seed, column_names=cols, **svm_result.winner)
     bundles["svm_best"] = ModelBundle(kind="svm_best", column_names=cols, svm=svm_best)
 
-    diagnostics = {"lr_fits": lr_fits, "selection": selections}
+    pca_facts = {kind: _pca_report(bundles[kind].pca) for kind in ("pca_lr", "pca_lr_selected")}
+    diagnostics = {"lr_fits": lr_fits, "selection": selections, "pca": pca_facts}
     return bundles, rf_result, svm_result, diagnostics
 
 

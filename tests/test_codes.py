@@ -1,9 +1,8 @@
 import pytest
 
 from readmit.codes import (
-    COMORBIDITY_NAMES, DISCHARGE_CPT_RANGES, ED_CPT_RANGES,
-    HOSPITAL_VISIT_CPT_RANGES, INPATIENT_CPT_RANGES, icd9_chapter,
-    load_code_mappings,
+    COMORBIDITY_NAMES, ED_CPT_RANGES, HOSPITAL_VISIT_CPT_RANGES,
+    INPATIENT_CPT_RANGES, icd9_chapter, load_code_mappings,
 )
 from readmit.errors import MappingError
 
@@ -29,14 +28,16 @@ def test_default_hospital_visit_set(mappings):
 
 def test_default_ed_and_discharge_sets(mappings):
     assert ranges_as_set(mappings.ed_cpt) == set(range(99281, 99286))
-    assert ranges_as_set(mappings.discharge_cpt) == {99217, 99238, 99239}
+    # discharge codes are not used: no setting treats them as a service
+    for cpt in ("99217", "99238", "99239"):
+        assert not (mappings.is_inpatient(cpt) or mappings.is_ed(cpt)
+                    or mappings.is_hospital_visit(cpt))
 
 
 def test_default_constants_match_config(mappings):
     assert mappings.inpatient_cpt == INPATIENT_CPT_RANGES
     assert mappings.ed_cpt == ED_CPT_RANGES
     assert mappings.hospital_visit_cpt == HOSPITAL_VISIT_CPT_RANGES
-    assert mappings.discharge_cpt == DISCHARGE_CPT_RANGES
 
 
 def test_comorbidity_names_count():

@@ -1,47 +1,7 @@
 import numpy as np
 import pytest
 
-from readmit.models import (
-    fit_pca, jacobi_eigh, pca_inverse_transform, pca_transform,
-)
-
-
-def match_eigvecs(A, B):
-    """Columns equal up to sign."""
-    assert A.shape == B.shape
-    for j in range(A.shape[1]):
-        direct = np.max(np.abs(A[:, j] - B[:, j]))
-        flipped = np.max(np.abs(A[:, j] + B[:, j]))
-        assert min(direct, flipped) < 1e-8, f"column {j} differs: {min(direct, flipped)}"
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("seed,d", [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6)])
-    def test_matches_dense_eigensolver(self, seed, d):
-        rng = np.random.default_rng(seed)
-        M = rng.normal(size=(d, d))
-        A = (M + M.T) / 2
-        values, vectors = jacobi_eigh(A)
-        ref_values, ref_vectors = np.linalg.eigh(A)
-        assert np.max(np.abs(values - ref_values[::-1])) < 1e-8
-        # fix reference signs the same way before comparing
-        ref = ref_vectors[:, ::-1].copy()
-        for j in range(d):
-            k = int(np.argmax(np.abs(ref[:, j])))
-            if ref[k, j] < 0:
-                ref[:, j] = -ref[:, j]
-        match_eigvecs(vectors, ref)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(9)
-        M = rng.normal(size=(5, 5))
-        A = (M + M.T) / 2
-        values, vectors = jacobi_eigh(A)
-        assert np.max(np.abs(vectors @ np.diag(values) @ vectors.T - A)) < 1e-10
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+from readmit.models import fit_pca, pca_transform
 
 
 class TestFitPca:
@@ -54,13 +14,15 @@ class TestFitPca:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_matrix_matches_eigh_oracle(self, seed):
+        # The oracle takes a route independent of fit_pca's eigensolver:
+        # the correlation eigenvalues are the squared singular values of
+        # Z / sqrt(n - 1), descending.
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(40, 6)) @ rng.normal(size=(6, 6))
         transform = fit_pca(X)
         Z = (X - X.mean(0)) / X.std(0, ddof=1)
-        corr = Z.T @ Z / (len(X) - 1)
-        ref_values, _ = np.linalg.eigh(corr)
-        assert np.max(np.abs(transform.eigenvalues - ref_values[::-1])) < 1e-8
+        ref_values = np.linalg.svd(Z / np.sqrt(len(X) - 1), compute_uv=False) ** 2
+        assert np.max(np.abs(transform.eigenvalues - ref_values)) < 1e-8
 
     def test_orthonormal_components(self):
         rng = np.random.default_rng(12)
@@ -92,6 +54,26 @@ class TestFitPca:
         transform = fit_pca(X)
         assert transform.kept_columns.tolist() == [0, 1, 3]
 
+    @pytest.mark.parametrize("case", ["random", "repeated_eigenvalue"])
+    def test_sign_rule_and_repeatable_bytes(self, case):
+        if case == "random":
+            X = np.random.default_rng(21).normal(size=(30, 5))
+        else:
+            # Orthogonal +-1 columns of a Sylvester-Hadamard matrix: the
+            # correlation matrix is the identity, one eigenvalue 4 times.
+            h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+            X = np.kron(np.kron(h2, h2), h2)[:, 1:5]
+        transform = fit_pca(X, variance_target=1.0)
+        if case == "repeated_eigenvalue":
+            assert np.max(np.abs(transform.eigenvalues - 1.0)) < 1e-12
+        C = transform.components
+        largest = np.argmax(np.abs(C), axis=0)
+        assert np.all(C[largest, np.arange(C.shape[1])] > 0)
+        twin = fit_pca(X, variance_target=1.0)
+        for name in ("means", "stds", "components", "eigenvalues", "explained"):
+            assert getattr(twin, name).tobytes() == getattr(transform, name).tobytes()
+        assert twin.retained == transform.retained
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             fit_pca(np.ones((1, 3)))
@@ -122,7 +104,7 @@ class TestTransform:
         X = rng.normal(size=(20, 5))
         transform = fit_pca(X, variance_target=1.0)
         Z = (X - transform.means) / transform.stds
-        back = pca_inverse_transform(transform, pca_transform(transform, X, n_components=5))
+        back = pca_transform(transform, X, n_components=5) @ transform.components.T
         assert np.max(np.abs(back - Z)) < 1e-8
 
     def test_projected_train_variances_equal_eigenvalues(self):

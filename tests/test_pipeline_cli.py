@@ -113,6 +113,14 @@ class TestCliRuns:
         assert path == load_bundle(models / "lr_selected.model").selected_columns
         assert all(step["p_value"] < 0.05 and step["statistic"] > 3.84
                    for step in selection["path"])
+        assert set(manifest["pca"]) == {"pca_lr", "pca_lr_selected"}
+        for kind, facts in manifest["pca"].items():
+            bundle = load_bundle(models / f"{kind}.model")
+            assert facts["kept_columns"] == bundle.pca.kept_columns.size
+            assert facts["components"] == bundle.pca.retained
+            assert facts["variance_explained"] == pytest.approx(
+                bundle.pca.explained[:bundle.pca.retained].sum(), abs=1e-12)
+            assert 0.95 - 1e-12 <= facts["variance_explained"] <= 1.0 + 1e-12
 
     def test_rerun_is_byte_identical(self, small_run, tmp_path):
         out2 = tmp_path / "again"
@@ -216,6 +224,13 @@ class TestCliExitCodes:
         {"train_fraction": 1},
         {"threshold": "x"},
         {"threshold": True},
+        {"pca_variance_target": 0},
+        {"pca_variance_target": 1.5},
+        {"svm_epochs": 0},
+        {"jobs": 0},
+        {"svm_c_grid": []},
+        {"svm_c_grid": [-1.0]},
+        {"svm_c_grid": [True]},
         pytest.param(_rf_grid(mtry=[500]), id="rf_grid-mtry-above-width"),
         pytest.param(_rf_grid(mtry=[]), id="rf_grid-mtry-empty"),
         pytest.param(_rf_grid(ntree=[True]), id="rf_grid-ntree-bool"),
