@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -76,17 +77,25 @@ class ParseResult:
     errors: list[RowError]
 
 
-def _as_text(source):
-    """A path or a text stream as is; bytes or a byte stream decoded as UTF-8."""
-    if isinstance(source, (str, Path)):
-        return source
+@contextmanager
+def _text_input(source):
+    """``source`` as a text stream: a path through ``text_stream``, a text
+    stream as is, bytes or a byte stream decoded as UTF-8. A byte stream's
+    wrapper is detached on exit, so the caller's stream stays open."""
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    if not hasattr(source, "read"):
-        raise TypeError(f"unsupported source {type(source)!r}")
-    if isinstance(source.read(0), bytes):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
-    return source
+        source = io.StringIO(source.decode("utf-8"))
+    elif not isinstance(source, (str, Path)):
+        if not hasattr(source, "read"):
+            raise TypeError(f"unsupported source {type(source)!r}")
+        if isinstance(source.read(0), bytes):
+            wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            try:
+                yield wrapper
+            finally:
+                wrapper.detach()
+            return
+    with text_stream(source) as fh:
+        yield fh
 
 
 def _parse_date(text: str, what: str) -> date:
@@ -104,7 +113,7 @@ def _required(value: str, what: str) -> str:
 
 
 def _parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
-    with text_stream(_as_text(source)) as fh:
+    with _text_input(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError, MappingError, ParseError, ReadmitError
 from .pipeline import (
-    RunConfig, run_all, stage_episodes, stage_evaluate, stage_features,
+    INPUT_PATHS, RunConfig, run_all, stage_episodes, stage_evaluate, stage_features,
     stage_generate, stage_train,
 )
 
@@ -71,7 +71,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     against the final input paths."""
     overrides = {name: getattr(args, name) for name in ("seed", "jobs", "threshold", "strict")
                  if getattr(args, name) is not None}
-    for name in ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map"):
+    for name in INPUT_PATHS:
         if getattr(args, name, None):
             overrides[name] = getattr(args, name)
     if args.config:

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,15 +223,6 @@ def _fit_tree(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rng):
     return tree, importances
 
 
-def _fit_tree_range(coded, y, mtry, nodesize, maxnodes, seed, start, count, ntree):
-    children = seed_sequence(seed).spawn(ntree)[start:start + count]
-    out = []
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        out.append(_fit_tree(coded, y, mtry, nodesize, maxnodes, rng))
-    return out
-
-
 def fit_random_forest(
     X,
     y,
@@ -243,11 +232,9 @@ def fit_random_forest(
     maxnodes: int,
     seed: int,
     column_names: list[str] | None = None,
-    jobs: int = 1,
 ) -> RandomForestModel:
-    """Trees are independent given their spawned seeds, so ``jobs`` workers
-    fit disjoint tree ranges; per-tree importance partials are reduced in
-    tree-index order, making the result identical for any worker count."""
+    """Tree t grows from child t of ``seed_sequence(seed).spawn(ntree)``;
+    per-tree importances are summed in tree order."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     n, d = X.shape
@@ -260,20 +247,12 @@ def fit_random_forest(
     if n > MAX_ROWS:
         raise ValueError(f"{n} training rows exceed the {MAX_ROWS} a tree can count exactly")
     coded = _CodedMatrix(X)
-    if jobs > 1 and ntree > 1:
-        workers = min(jobs, ntree)
-        bounds = np.linspace(0, ntree, workers + 1).astype(int)
-        tasks = [(coded, y, mtry, nodesize, maxnodes, seed, int(lo), int(hi - lo), ntree)
-                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            chunks = list(pool.map(_fit_tree_range_star, tasks))
-        fitted = [item for chunk in chunks for item in chunk]
-    else:
-        fitted = _fit_tree_range(coded, y, mtry, nodesize, maxnodes, seed, 0, ntree, ntree)
-    trees = [tree for tree, _ in fitted]
+    trees = []
     importances = np.zeros(d)
-    for _, partial in fitted:
+    for child in seed_sequence(seed).spawn(ntree):
+        rng = np.random.Generator(np.random.PCG64(child))
+        tree, partial = _fit_tree(coded, y, mtry, nodesize, maxnodes, rng)
+        trees.append(tree)
         importances += partial
     total = importances.sum()
     if total > 0:
@@ -288,10 +267,6 @@ def fit_random_forest(
         importances=importances,
         column_names=column_names,
     )
-
-
-def _fit_tree_range_star(args):
-    return _fit_tree_range(*args)
 
 
 def _tree_scores(tree: Tree, X) -> np.ndarray:

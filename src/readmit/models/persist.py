@@ -1,19 +1,34 @@
 """Versioned line-oriented text persistence for trained models.
 
-Layout: a magic first line ``readmit-model v1 <kind>``, then ``[section]``
-blocks of ``key = value`` lines. Floats are written with ``repr`` so that
-a load/save round trip is exact and identical fits serialize to identical
-bytes.
+A model file is a magic line ``readmit-model v1 <kind>``, then ``[section]``
+blocks: ``[columns]`` and the optional ``[selected]`` list column names one
+per line, then each part the kind holds (``BUNDLE_KINDS``) in ``PARTS``
+order. ``PARTS`` states each part's fields and their file order once, and
+``save_bundle`` and ``load_bundle`` both walk it. A part is its
+``[<prefix>.hyper]`` scalars as ``key = value`` lines, formatted by their
+dataclass field type (a float by ``repr``, an int in decimal, a bool as 0
+or 1), then one ``[<prefix>.<field>]`` section per array: a float or int
+vector as ``i = v`` lines, the PCA components as ``r,c = v`` lines over the
+retained columns only, or the forest's trees, one ``[rf.tree.<t>]`` section
+of ``Tree.node_lines`` each. Floats by ``repr`` make a load/save round trip
+exact and identical fits serialize to identical bytes.
+
+The reader raises ``ParseError``, naming the section and the key, on a
+missing section or key, misnumbered keys, a malformed node line or a value
+that does not parse, and, by scoring one row of zeros, on parts whose
+lengths or indices do not fit the columns, as in a file cut inside its last
+vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from ..errors import ReadmitError
+from ..errors import ParseError, ReadmitError
+from ..textio import text_stream
 from .forest import RandomForestModel, Tree, rf_predict_proba
 from .logistic import LogisticModel, predict_proba
 from .pca import PcaTransform, pca_transform
@@ -21,9 +36,15 @@ from .svm import LinearSvmModel, svm_decision_scores
 
 MAGIC = "readmit-model v1"
 
-BUNDLE_KINDS = (
-    "lr_all", "lr_selected", "pca_lr", "pca_lr_selected", "rf_best", "svm_best",
-)
+# Each bundle kind, in report order, with the prefixes of the parts it holds.
+BUNDLE_KINDS = {
+    "lr_all": ("logistic",),
+    "lr_selected": ("logistic",),
+    "pca_lr": ("pca", "logistic"),
+    "pca_lr_selected": ("pca", "logistic"),
+    "rf_best": ("rf",),
+    "svm_best": ("svm",),
+}
 
 
 @dataclass
@@ -57,93 +78,79 @@ class ModelBundle:
         raise ReadmitError(f"bundle {self.kind} has no scorer")
 
 
-class _Writer:
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def section(self, name: str):
-        self.lines.append(f"[{name}]")
-
-    def kv(self, key, value):
-        self.lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-
-    def vector(self, name: str, values):
-        self.section(name)
-        for i, v in enumerate(np.asarray(values).tolist()):
-            self.kv(i, float(v))
-
-    def names(self, name: str, values):
-        self.section(name)
-        for v in values:
-            self.lines.append(str(v))
+# Array kinds besides a vector, whose kind is its element type, float or int.
+COMPONENTS, TREES = "components", "trees"
 
 
-def _write_logistic(w: _Writer, prefix: str, model: LogisticModel):
-    w.section(f"{prefix}.hyper")
-    w.kv("l2_penalty", float(model.l2_penalty))
-    w.kv("converged", int(model.converged))
-    w.kv("n_iter", model.n_iter)
-    w.kv("final_nll", float(model.final_nll))
-    w.kv("intercept", float(model.intercept))
-    w.vector(f"{prefix}.weights", model.weights)
+@dataclass(frozen=True)
+class _Part:
+    prefix: str                            # section prefix
+    attr: str                              # ModelBundle attribute
+    model: type
+    hyper: tuple[str, ...]                 # scalars of [<prefix>.hyper], in file order
+    arrays: tuple[tuple[str, object], ...]  # (field, array kind), in file order
 
 
-def _write_pca(w: _Writer, model: PcaTransform):
-    w.section("pca.hyper")
-    w.kv("retained", model.retained)
-    w.vector("pca.means", model.means)
-    w.vector("pca.stds", model.stds)
-    w.section("pca.kept_columns")
-    for i, c in enumerate(model.kept_columns.tolist()):
-        w.kv(i, int(c))
-    w.vector("pca.eigenvalues", model.eigenvalues)
-    w.vector("pca.explained", model.explained)
-    w.section("pca.components")
-    for r in range(model.components.shape[0]):
-        for c in range(model.retained):
-            w.kv(f"{r},{c}", float(model.components[r, c]))
+PARTS = (
+    _Part("pca", "pca", PcaTransform, ("retained",),
+          (("means", float), ("stds", float), ("kept_columns", int),
+           ("eigenvalues", float), ("explained", float), ("components", COMPONENTS))),
+    _Part("logistic", "lr", LogisticModel,
+          ("l2_penalty", "converged", "n_iter", "final_nll", "intercept"),
+          (("weights", float),)),
+    _Part("rf", "rf", RandomForestModel, ("ntree", "mtry", "nodesize", "maxnodes", "seed"),
+          (("importances", float), ("trees", TREES))),
+    _Part("svm", "svm", LinearSvmModel, ("C", "epochs", "seed", "intercept"),
+          (("weights", float), ("means", float), ("stds", float))),
+)
+
+# Scalar field type -> (format, parse).
+_SCALARS = {
+    float: (lambda v: repr(float(v)), float),
+    int: (lambda v: str(int(v)), int),
+    bool: (lambda v: str(int(v)), lambda text: {"0": False, "1": True}[text]),
+}
+
+# Vector element type -> dtype.
+_DTYPES = {float: np.float64, int: np.intp}
+
+# Tree fields in node-line order, with their dtypes.
+_NODE_FIELDS = (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
+                ("right", np.int32), ("value", np.float64), ("n_samples", np.int32))
 
 
-def _write_rf(w: _Writer, model: RandomForestModel):
-    w.section("rf.hyper")
-    for key in ("ntree", "mtry", "nodesize", "maxnodes", "seed"):
-        w.kv(key, getattr(model, key))
-    w.vector("rf.importances", model.importances)
-    for t, tree in enumerate(model.trees):
-        w.section(f"rf.tree.{t}")
-        w.lines += tree.node_lines()
-
-
-def _write_svm(w: _Writer, model: LinearSvmModel):
-    w.section("svm.hyper")
-    w.kv("C", float(model.C))
-    w.kv("epochs", model.epochs)
-    w.kv("seed", model.seed)
-    w.kv("intercept", float(model.intercept))
-    w.vector("svm.weights", model.weights)
-    w.vector("svm.means", model.means)
-    w.vector("svm.stds", model.stds)
+def _part_lines(part: _Part, model) -> list[str]:
+    types = get_type_hints(part.model)
+    lines = [f"[{part.prefix}.hyper]"]
+    lines += [f"{name} = {_SCALARS[types[name]][0](getattr(model, name))}"
+              for name in part.hyper]
+    for name, kind in part.arrays:
+        value = getattr(model, name)
+        if kind == TREES:
+            for t, tree in enumerate(value):
+                lines += [f"[{part.prefix}.tree.{t}]", *tree.node_lines()]
+            continue
+        lines.append(f"[{part.prefix}.{name}]")
+        if kind == COMPONENTS:
+            rows = value[:, :model.retained].tolist()
+            lines += [f"{r},{c} = {v!r}" for r, row in enumerate(rows) for c, v in enumerate(row)]
+        else:
+            fmt = _SCALARS[kind][0]
+            lines += [f"{i} = {fmt(v)}" for i, v in enumerate(np.asarray(value).tolist())]
+    return lines
 
 
 def save_bundle(bundle: ModelBundle, dest):
-    w = _Writer()
-    w.lines.append(f"{MAGIC} {bundle.kind}")
-    w.names("columns", bundle.column_names)
+    lines = [f"{MAGIC} {bundle.kind}", "[columns]", *bundle.column_names]
     if bundle.selected_columns is not None:
-        w.names("selected", bundle.selected_columns)
-    if bundle.pca is not None:
-        _write_pca(w, bundle.pca)
-    if bundle.lr is not None:
-        _write_logistic(w, "logistic", bundle.lr)
-    if bundle.rf is not None:
-        _write_rf(w, bundle.rf)
-    if bundle.svm is not None:
-        _write_svm(w, bundle.svm)
-    text = "\n".join(w.lines) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)
+        lines += ["[selected]", *bundle.selected_columns]
+    for part in PARTS:
+        model = getattr(bundle, part.attr)
+        if model is not None:
+            lines += _part_lines(part, model)
+    text = "\n".join(lines) + "\n"
+    with text_stream(dest, "w") as fh:
+        fh.write(text)
     return text
 
 
@@ -155,124 +162,115 @@ def _split_sections(lines: list[str]) -> dict[str, list[str]]:
             current = sections.setdefault(line[1:-1], [])
         elif line.strip():
             if current is None:
-                raise ReadmitError(f"content before first section: {line!r}")
+                raise ParseError(f"content before first section: {line!r}")
             current.append(line)
     return sections
 
 
-def _kv_map(lines: list[str]) -> dict[str, str]:
-    out = {}
-    for line in lines:
-        key, _, value = line.partition(" = ")
-        out[key] = value
-    return out
+def _section(sections, name: str) -> list[str]:
+    if name not in sections:
+        raise ParseError(f"missing section [{name}]")
+    return sections[name]
 
 
-def _read_vector(sections, name) -> np.ndarray:
-    kv = _kv_map(sections[name])
-    return np.array([float(kv[str(i)]) for i in range(len(kv))])
+def _pairs(sections, name: str):
+    """(key, value) of each line of section ``name``."""
+    for line in _section(sections, name):
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise ParseError(f"[{name}] line {line!r} is not 'key = value'")
+        yield key, value
 
 
-def _read_logistic(sections, prefix) -> LogisticModel:
-    hyper = _kv_map(sections[f"{prefix}.hyper"])
-    return LogisticModel(
-        weights=_read_vector(sections, f"{prefix}.weights"),
-        intercept=float(hyper["intercept"]),
-        l2_penalty=float(hyper["l2_penalty"]),
-        converged=bool(int(hyper["converged"])),
-        n_iter=int(hyper["n_iter"]),
-        final_nll=float(hyper["final_nll"]),
-    )
+def _parse(parse, text: str, name: str, key) -> object:
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ParseError(f"[{name}] {key}: bad value {text!r}") from None
 
 
-def _read_pca(sections) -> PcaTransform:
-    hyper = _kv_map(sections["pca.hyper"])
-    retained = int(hyper["retained"])
-    kept_kv = _kv_map(sections["pca.kept_columns"])
-    kept = np.array([int(kept_kv[str(i)]) for i in range(len(kept_kv))], dtype=np.intp)
-    comp_kv = _kv_map(sections["pca.components"])
-    n_kept = kept.size
-    components = np.zeros((n_kept, n_kept))
-    for key, value in comp_kv.items():
-        r, c = key.split(",")
-        components[int(r), int(c)] = float(value)
-    return PcaTransform(
-        means=_read_vector(sections, "pca.means"),
-        stds=_read_vector(sections, "pca.stds"),
-        kept_columns=kept,
-        components=components,
-        eigenvalues=_read_vector(sections, "pca.eigenvalues"),
-        explained=_read_vector(sections, "pca.explained"),
-        retained=retained,
-    )
+def _values(sections, name: str, parse, key_of=str) -> list:
+    """The values of section ``name``, whose i-th key must be ``key_of(i)``."""
+    values = []
+    for i, (key, value) in enumerate(_pairs(sections, name)):
+        if key != key_of(i):
+            raise ParseError(f"[{name}] key {key!r} where {key_of(i)!r} belongs")
+        values.append(_parse(parse, value, name, key))
+    return values
 
 
-def _read_rf(sections) -> RandomForestModel:
-    hyper = _kv_map(sections["rf.hyper"])
-    trees = []
-    t = 0
-    while f"rf.tree.{t}" in sections:
-        feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
-        for line in sections[f"rf.tree.{t}"]:
-            f, thr, l, r, v, ns = line.split()
-            feature.append(int(f))
-            threshold.append(float(thr))
-            left.append(int(l))
-            right.append(int(r))
-            value.append(float(v))
-            n_samples.append(int(ns))
-        trees.append(Tree(
-            feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold),
-            left=np.array(left, dtype=np.int32),
-            right=np.array(right, dtype=np.int32),
-            value=np.array(value),
-            n_samples=np.array(n_samples, dtype=np.int32),
-        ))
-        t += 1
-    return RandomForestModel(
-        trees=trees,
-        ntree=int(hyper["ntree"]),
-        mtry=int(hyper["mtry"]),
-        nodesize=int(hyper["nodesize"]),
-        maxnodes=int(hyper["maxnodes"]),
-        seed=int(hyper["seed"]),
-        importances=_read_vector(sections, "rf.importances"),
-    )
+def _array(values: list, dtype, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ParseError(f"[{name}] holds a value out of range for {np.dtype(dtype)}") from None
 
 
-def _read_svm(sections) -> LinearSvmModel:
-    hyper = _kv_map(sections["svm.hyper"])
-    return LinearSvmModel(
-        weights=_read_vector(sections, "svm.weights"),
-        intercept=float(hyper["intercept"]),
-        C=float(hyper["C"]),
-        epochs=int(hyper["epochs"]),
-        seed=int(hyper["seed"]),
-        means=_read_vector(sections, "svm.means"),
-        stds=_read_vector(sections, "svm.stds"),
-    )
+def _read_tree(sections, name: str) -> Tree:
+    rows = []
+    for k, line in enumerate(_section(sections, name)):
+        fields = line.split()
+        if len(fields) != len(_NODE_FIELDS):
+            raise ParseError(f"[{name}] node {k}: {len(fields)} fields, not {len(_NODE_FIELDS)}")
+        rows.append([_parse(float if dtype is np.float64 else int, text, name, f"node {k}")
+                     for (_, dtype), text in zip(_NODE_FIELDS, fields)])
+    tree = Tree(**{field: _array([row[j] for row in rows], dtype, name)
+                   for j, (field, dtype) in enumerate(_NODE_FIELDS)})
+    inner = tree.feature >= 0
+    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    if not rows or np.any((children < 1) | (children >= len(rows))):
+        raise ParseError(f"[{name}] has no nodes or a child index outside the tree")
+    return tree
+
+
+def _read_part(part: _Part, sections):
+    types = get_type_hints(part.model)
+    hyper_name = f"{part.prefix}.hyper"
+    hyper = dict(_pairs(sections, hyper_name))
+    values = {}
+    for key in part.hyper:
+        if key not in hyper:
+            raise ParseError(f"[{hyper_name}] has no key {key!r}")
+        values[key] = _parse(_SCALARS[types[key]][1], hyper[key], hyper_name, key)
+    for field, kind in part.arrays:
+        name = f"{part.prefix}.{field}"
+        if kind == TREES:
+            values[field] = [_read_tree(sections, f"{part.prefix}.tree.{t}")
+                             for t in range(values["ntree"])]
+        elif kind == COMPONENTS:
+            n, retained = values["kept_columns"].size, values["retained"]
+            if not 1 <= retained <= n:
+                raise ParseError(f"[{hyper_name}] retained {retained} outside 1..{n}")
+            flat = _values(sections, name, float, lambda i: f"{i // retained},{i % retained}")
+            if len(flat) != n * retained:
+                raise ParseError(f"[{name}] holds {len(flat)} values, not {n} x {retained}")
+            values[field] = np.zeros((n, n))
+            values[field][:, :retained] = np.reshape(flat, (n, retained))
+        else:
+            values[field] = _array(_values(sections, name, _SCALARS[kind][1]),
+                                   _DTYPES[kind], name)
+    return part.model(**values)
 
 
 def load_bundle(source) -> ModelBundle:
-    text = Path(source).read_text(encoding="utf-8") \
-        if isinstance(source, (str, Path)) else source.read()
-    lines = text.splitlines()
+    with text_stream(source) as fh:
+        lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(MAGIC):
-        raise ReadmitError("not a readmit model file")
+        raise ParseError("not a readmit model file")
     kind = lines[0][len(MAGIC):].strip()
     if kind not in BUNDLE_KINDS:
-        raise ReadmitError(f"unknown model kind {kind!r}")
-    sections = _split_sections(lines[1:])
-    bundle = ModelBundle(kind=kind, column_names=list(sections["columns"]))
-    if "selected" in sections:
-        bundle.selected_columns = list(sections["selected"])
-    if "pca.hyper" in sections:
-        bundle.pca = _read_pca(sections)
-    if "logistic.hyper" in sections:
-        bundle.lr = _read_logistic(sections, "logistic")
-    if "rf.hyper" in sections:
-        bundle.rf = _read_rf(sections)
-    if "svm.hyper" in sections:
-        bundle.svm = _read_svm(sections)
+        raise ParseError(f"unknown model kind {kind!r}")
+    try:
+        sections = _split_sections(lines[1:])
+        bundle = ModelBundle(kind=kind, column_names=list(_section(sections, "columns")),
+                             selected_columns=sections.get("selected"))
+        for part in PARTS:
+            if part.prefix in BUNDLE_KINDS[kind]:
+                setattr(bundle, part.attr, _read_part(part, sections))
+    except ParseError as exc:
+        raise ParseError(f"{kind} model: {exc}") from None
+    try:
+        bundle.score(np.zeros((1, len(bundle.column_names))), bundle.column_names)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ParseError(f"{kind} model: its parts do not fit its columns: {exc}") from None
     return bundle

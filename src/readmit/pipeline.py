@@ -67,6 +67,7 @@ DEFAULT_GENERATOR = {
 # Scalar config fields no stage can run with outside these limits:
 # name -> (integer only, accepts, what is wanted).
 CONFIG_LIMITS = {
+    "seed": (True, lambda v: True, "an integer"),
     "fold_count": (True, lambda v: v >= 2, "an integer >= 2"),
     "lr_max_iter": (True, lambda v: v >= 1, "an integer >= 1"),
     "lr_tol": (False, lambda v: v > 0, "a number > 0"),
@@ -78,6 +79,7 @@ CONFIG_LIMITS = {
     "pca_variance_target": (False, lambda v: 0 < v <= 1, "a number in (0, 1]"),
     "svm_epochs": (True, lambda v: v >= 1, "an integer >= 1"),
 }
+INPUT_PATHS = ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")
 
 
 def _is_number(value, integer: bool) -> bool:
@@ -124,6 +126,8 @@ class RunConfig:
         cfg = cls()
         for key, value in raw.items():
             if key == "generator":
+                if not isinstance(value, dict):
+                    raise ConfigError(f"generator must be an object, got {value!r}")
                 merged = dict(DEFAULT_GENERATOR)
                 extra = set(value) - set(merged) - {"seed"}
                 if extra:
@@ -137,8 +141,10 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Raise ConfigError, before any stage runs, on a value in
-        ``CONFIG_LIMITS`` that is out of range or of the wrong type, on an
-        ``svm_c_grid`` that is not a non-empty list of numbers > 0, or on an
+        ``CONFIG_LIMITS`` that is out of range or of the wrong type, a flag
+        that is not a bool, an input path that is not a string or null, a
+        generator section ``GeneratorConfig`` or ``SignalSpec`` cannot take,
+        an ``svm_c_grid`` that is not a non-empty list of numbers > 0, or an
         ``rf_grid`` that does not give each forest parameter a non-empty list
         of integers >= 1 with ``mtry`` at most the design-matrix width of the
         mapping files."""
@@ -146,6 +152,17 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_number(value, integer) and accepts(value)):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        for name in ("strict", "user_level_split", "select_after_pca"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in INPUT_PATHS:
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path or null, got {getattr(self, name)!r}")
+        try:
+            self.generator_config()
+        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ConfigError(f"generator: {detail}") from exc
         c_grid = self.svm_c_grid
         if (not isinstance(c_grid, list) or not c_grid
                 or any(not _is_number(c, False) or c <= 0 for c in c_grid)):
@@ -407,7 +424,7 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     rf_result = grid_search(rf_fold_auc, cfg.rf_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
     rf_best = fit_random_forest(
         Xtr, ytr, seed=derive_seed(cfg.seed, FOREST_STREAM),
-        column_names=cols, jobs=cfg.jobs, **rf_result.winner,
+        column_names=cols, **rf_result.winner,
     )
     bundles["rf_best"] = ModelBundle(kind="rf_best", column_names=cols, rf=rf_best)
 

@@ -1,3 +1,4 @@
+import gc
 import io
 from datetime import date
 
@@ -40,6 +41,13 @@ def test_medical_decimal_codes_normalized():
 
 def test_medical_empty_file_gives_empty_list():
     assert parse_medical_claims(io.StringIO(MED_HEADER)).records == []
+
+
+def test_byte_stream_stays_open_after_parse():
+    source = io.BytesIO(MED_HEADER.encode("utf-8"))
+    assert parse_medical_claims(source).records == []
+    gc.collect()   # a dropped TextIOWrapper would close the stream it wraps
+    assert not source.closed
 
 
 @pytest.mark.parametrize("row,fragment", [

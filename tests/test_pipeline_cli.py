@@ -1,15 +1,22 @@
+import dataclasses
+import hashlib
+import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from readmit.cli import main
 from readmit.dataset import one_hot_encode, stratified_kfold, train_test_split
-from readmit.errors import ConfigError
-from readmit.models import fit_logistic
+from readmit.errors import ConfigError, ParseError
+from readmit.models import LogisticModel, RandomForestModel, fit_logistic, fit_pca
+from readmit.models.forest import Tree
 from readmit.models.persist import ModelBundle, load_bundle, save_bundle
-from readmit.pipeline import RunConfig, train_models
+from readmit.pipeline import DEFAULT_GENERATOR, RunConfig, train_models
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -70,6 +77,30 @@ class TestRunConfig:
         c = RunConfig.from_dict({"seed": 2})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_SIGNAL = st.dictionaries(st.sampled_from(["kind", "value", "strength", "carrier_rate"]),
+                          _JSON | st.sampled_from(["comorbidity", "medication"]))
+_GENERATOR = st.dictionaries(st.sampled_from([*DEFAULT_GENERATOR, "seed"]),
+                             _JSON | st.lists(_SIGNAL, max_size=2))
+_CONFIG = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)] + ["nope"]),
+    _JSON | _GENERATOR, max_size=4)
+
+
+@given(_CONFIG)
+def test_malformed_config_raises_only_config_error(raw):
+    # A string mapping path names a file, which may be missing (exit 3).
+    assume(not any(isinstance(raw.get(k), str) for k in ("comorbidity_map", "ccs_map")))
+    try:
+        RunConfig.from_dict(raw)
+    except ConfigError:
+        pass
 
 
 class TestCliRuns:
@@ -237,6 +268,15 @@ class TestCliExitCodes:
         pytest.param(_rf_grid(nodesize=[0]), id="rf_grid-nodesize-0"),
         pytest.param(_rf_grid(maxnodes=[2.5]), id="rf_grid-maxnodes-float"),
         pytest.param({"rf_grid": {"mtry": [5]}}, id="rf_grid-missing-keys"),
+        {"seed": "x"},
+        {"strict": "no"},
+        {"ccs_map": 7},
+        {"medical": 5},
+        pytest.param({"generator": 5}, id="generator-not-object"),
+        pytest.param({"generator": {"signals": [{"kind": "comorbidity"}]}},
+                     id="generator-signal-missing-keys"),
+        pytest.param({"generator": {"n_users": "x"}}, id="generator-n_users-text"),
+        pytest.param({"generator": {"n_users": 0}}, id="generator-n_users-0"),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
         config_path = tmp_path / "c.json"
@@ -245,6 +285,18 @@ class TestCliExitCodes:
         assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
         assert not out.exists()
         assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_truncated_model_file_exit_4(self, small_run, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(small_run["out"] / "models", models)
+        text = (models / "lr_all.model").read_text()
+        cut = text.index("[logistic.hyper]")
+        (models / "lr_all.model").write_text(text[:text.index("\n", cut + 20)])
+        assert main(["evaluate", "--config", str(small_run["config_path"]),
+                     "--features", str(small_run["out"] / "features" / "features.csv"),
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "lr_all model" in err and "Traceback" not in err
 
     def test_non_finite_threshold_flag_exit_5(self, tmp_path):
         assert main(["all", "--threshold", "nan", "--out", str(tmp_path / "o")]) == 5
@@ -283,6 +335,29 @@ class TestPersistence:
             restored = loaded.score(test.X, matrix.column_names)
             assert np.array_equal(original, restored)
 
+    # sha256 of each saved model of one train_models run on SMALL_CONFIG.
+    MODEL_SHA256 = {
+        "lr_all": "5d049e16c273008e08df289bfdfb1db364d03995ce12f490ab15ef17ff064d1b",
+        "lr_selected": "28ced7f21e6517974a95ec4156a39a41bcb606de25e980340d1ddca005cb3af4",
+        "pca_lr": "e05c8ca1a1c5fe63011fe9559006075eecd6149f3a16ce22661c7c13d9df6834",
+        "pca_lr_selected": "64309386e346dafe177e89994d3ba50c80ef8a49a5cbcf1ab5af72a1d5db62e1",
+        "rf_best": "83a661eb79cc730b2335d2de036a15e8fa8bd7887e3eb60ce7f85543a14052a6",
+        "svm_best": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
+    }
+
+    def test_saved_model_bytes_are_pinned(self, mappings):
+        cfg = RunConfig.from_dict(SMALL_CONFIG)
+        matrix = self.make_matrix(mappings)
+        train, _ = train_test_split(matrix, cfg.split_spec())
+        folds = stratified_kfold(train.y, 3, cfg.seed)
+        bundles, _, _, _ = train_models(cfg, matrix, train, folds)
+        digests = {}
+        for kind, bundle in bundles.items():
+            text = save_bundle(bundle, io.StringIO())
+            assert save_bundle(load_bundle(io.StringIO(text)), io.StringIO()) == text
+            digests[kind] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digests == self.MODEL_SHA256
+
     def test_save_is_deterministic(self, mappings, tmp_path):
         matrix = self.make_matrix(mappings)
         model = fit_logistic(matrix.X, matrix.y, column_names=matrix.column_names)
@@ -314,3 +389,76 @@ class TestPersistence:
         path = tmp_path / "pca_lr_selected.model"
         save_bundle(bundle, path)
         assert np.array_equal(load_bundle(path).score(test.X, matrix.column_names), scores)
+
+
+def _lr_text() -> str:
+    model = LogisticModel(weights=np.array([0.5, -1.0]), intercept=0.25, l2_penalty=1e-4,
+                          converged=True, n_iter=3, final_nll=1.5)
+    return save_bundle(ModelBundle(kind="lr_all", column_names=["a", "b"], lr=model),
+                       io.StringIO())
+
+
+def _rf_text() -> str:
+    tree = Tree(feature=np.array([0, -1, -1], dtype=np.int32), threshold=np.array([0.5, 0, 0]),
+                left=np.array([1, -1, -1], dtype=np.int32),
+                right=np.array([2, -1, -1], dtype=np.int32),
+                value=np.array([0.5, 0.0, 1.0]), n_samples=np.array([4, 2, 2], dtype=np.int32))
+    model = RandomForestModel(trees=[tree], ntree=1, mtry=1, nodesize=1, maxnodes=2, seed=0,
+                              importances=np.array([1.0, 0.0]))
+    return save_bundle(ModelBundle(kind="rf_best", column_names=["a", "b"], rf=model),
+                       io.StringIO())
+
+
+def _pca_text() -> str:
+    pca = fit_pca(np.array([[0, 1], [1, 0], [2, 2.5], [3, 1.5]]), 0.5)
+    lr = LogisticModel(weights=np.ones(pca.retained), intercept=0.0, l2_penalty=0.0,
+                       converged=True, n_iter=1, final_nll=1.0)
+    return save_bundle(ModelBundle(kind="pca_lr", column_names=["a", "b"], pca=pca, lr=lr),
+                       io.StringIO())
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("readmit-model v1 lr_all\n", r"missing section \[columns\]", id="magic-only"),
+    pytest.param(_lr_text().split("converged")[0], r"\[logistic.hyper\] has no key 'converged'",
+                 id="cut-in-hyper"),
+    pytest.param(_lr_text().split("[logistic.weights]")[0],
+                 r"missing section \[logistic.weights\]", id="missing-array-section"),
+    pytest.param(_lr_text().replace("readmit-model v1 lr_all", "readmit-model v1 pca_lr"),
+                 r"missing section \[pca.hyper\]", id="missing-hyper-section"),
+    pytest.param(_lr_text().replace("n_iter = 3\n", ""), r"has no key 'n_iter'",
+                 id="missing-hyper-key"),
+    pytest.param(_lr_text().replace("1 = -1.0\n", ""), r"parts do not fit its columns",
+                 id="short-vector"),
+    pytest.param(_lr_text().replace("1 = -1.0", "2 = -1.0"),
+                 r"\[logistic.weights\] key '2' where '1' belongs", id="vector-keys"),
+    pytest.param(_lr_text().replace("l2_penalty = 0.0001", "l2_penalty = x"),
+                 r"\[logistic.hyper\] l2_penalty: bad value 'x'", id="bad-float"),
+    pytest.param(_lr_text().replace("converged = 1", "converged = 2"),
+                 r"\[logistic.hyper\] converged: bad value '2'", id="bad-bool"),
+    pytest.param(_rf_text().replace("-1 0.0 -1 -1 0.0 2", "-1 0.0 -1"),
+                 r"\[rf.tree.0\] node 1: 3 fields", id="node-fields"),
+    pytest.param(_rf_text().replace("0 0.5 1 2", "0 0.5 1 3"),
+                 r"\[rf.tree.0\] has no nodes or a child index outside", id="node-child"),
+    pytest.param(_rf_text().replace("0 0.5 1 2 0.5 4", "0 0.5 1 2 0.5 99999999999"),
+                 r"\[rf.tree.0\] holds a value out of range for int32", id="node-overflow"),
+    pytest.param(_rf_text().replace("ntree = 1", "ntree = 2"),
+                 r"missing section \[rf.tree.1\]", id="missing-tree"),
+    pytest.param(_pca_text().replace("retained = 1", "retained = 3"),
+                 r"\[pca.hyper\] retained 3 outside 1..2", id="pca-retained"),
+    pytest.param(_pca_text().replace("1,0 = 0.7071067811865475\n", ""),
+                 r"\[pca.components\] holds 1 values, not 2 x 1", id="pca-components-short"),
+])
+def test_malformed_model_file_is_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        load_bundle(io.StringIO(text))
+
+
+@pytest.mark.parametrize("make", [_lr_text, _rf_text, _pca_text])
+def test_model_file_cut_anywhere_is_parse_error_or_scores(make):
+    text = make()
+    for cut in range(len(text)):
+        try:
+            bundle = load_bundle(io.StringIO(text[:cut]))
+        except ParseError:
+            continue
+        assert bundle.score(np.zeros((1, 2)), ["a", "b"]).shape == (1,)
