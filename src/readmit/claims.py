@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .codes import normalize_icd9
 from .errors import ParseError
-from .textio import text_stream
+from .textio import text_stream, write_csv
 
 GENDERS = ("M", "F")
 ETHNICITIES = ("White", "Asian", "Hispanic", "Black")
@@ -228,13 +228,6 @@ def parse_demographics(source, strict: bool = True) -> ParseResult:
     return _parse_table(source, DEMOGRAPHICS_COLUMNS, _demographic_row, strict, hook=check_unique)
 
 
-def _write_table(dest, columns, rows):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def _other_diagnoses_field(record: MedicalClaim) -> str:
     if NO_DIAGNOSIS_SENTINEL in record.other_diagnoses:
         raise ValueError(
@@ -247,7 +240,7 @@ def _other_diagnoses_field(record: MedicalClaim) -> str:
 def write_medical_claims(records, dest):
     """Raises ValueError for a record whose other diagnoses hold the
     no-diagnosis marker, which the parser drops."""
-    _write_table(dest, MEDICAL_COLUMNS, (
+    write_csv(dest, MEDICAL_COLUMNS, (
         [r.user_id, r.claim_id, r.service_start.isoformat(), r.service_end.isoformat(),
          r.primary_diagnosis, _other_diagnoses_field(r), r.cpt_code]
         for r in records
@@ -255,12 +248,12 @@ def write_medical_claims(records, dest):
 
 
 def write_pharmacy_claims(records, dest):
-    _write_table(dest, PHARMACY_COLUMNS, (
+    write_csv(dest, PHARMACY_COLUMNS, (
         [r.user_id, r.claim_id, r.service_date.isoformat(), r.ndc_code] for r in records
     ))
 
 
 def write_demographics(records, dest):
-    _write_table(dest, DEMOGRAPHICS_COLUMNS, (
+    write_csv(dest, DEMOGRAPHICS_COLUMNS, (
         [r.user_id, r.gender, str(r.age), r.ethnicity, r.scheme_type] for r in records
     ))

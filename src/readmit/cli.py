@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands mirror the pipeline stages: generate, episodes, features,
-train, evaluate, and all. Exit codes: 0 success, 2 usage, 3 missing input,
-4 parse/schema failure, 5 invalid or infeasible configuration, 1 other
-pipeline errors.
+train, evaluate, and all. Exit codes: 0 success, 2 usage, 3 missing or
+unreadable input (any ``OSError``), 4 parse/schema failure, 5 invalid or
+infeasible configuration, 1 other pipeline errors.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
         elif args.command == "all":
             run_all(cfg, out_root)
         return EXIT_OK
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (ParseError, MappingError) as exc:

@@ -8,7 +8,6 @@ train/test. Numeric features pass through unscaled.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES
 from .codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, CodeMappingConfig
 from .features import AGE_GROUP_NAMES, MEDICATION_CATEGORIES, AdmissionFeatures
 from .seeding import FOLD_STREAM, SPLIT_STREAM, rng_for
-from .textio import text_stream
+from .textio import write_csv
 
 
 @dataclass
@@ -218,13 +217,7 @@ def stratified_kfold(y, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def write_matrix_csv(matrix: FeatureMatrix, dest):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "admission_id", *matrix.column_names, "target"])
-        for r in range(matrix.n_rows):
-            user_id, admission_id = matrix.row_ids[r]
-            writer.writerow([
-                user_id, admission_id,
-                *(repr(v) for v in matrix.X[r].tolist()),
-                str(int(matrix.y[r])),
-            ])
+    write_csv(dest, ["user_id", "admission_id", *matrix.column_names, "target"], (
+        [user_id, admission_id, *(repr(v) for v in x.tolist()), str(int(y))]
+        for (user_id, admission_id), x, y in zip(matrix.row_ids, matrix.X, matrix.y)
+    ))

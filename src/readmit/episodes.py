@@ -11,14 +11,13 @@ admission, never against a removed one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from datetime import date
 
 from .claims import MedicalClaim
 from .codes import CodeMappingConfig
 from .errors import ReadmitError
-from .textio import text_stream
+from .textio import write_csv
 
 ADMISSIONS_COLUMNS = [
     "user_id", "admission_id", "start", "end", "is_ed",
@@ -182,12 +181,9 @@ def readmission_rate(labeled: list[LabeledAdmission]) -> float:
 
 
 def write_admissions_csv(labeled: list[LabeledAdmission], dest):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ADMISSIONS_COLUMNS)
-        for a in labeled:
-            writer.writerow([
-                a.user_id, a.admission_id, a.start.isoformat(), a.end.isoformat(),
-                str(a.is_ed_admission).lower(), str(a.readmitted_within_30d).lower(),
-                str(len(a.removed_readmission_ids)),
-            ])
+    write_csv(dest, ADMISSIONS_COLUMNS, (
+        [a.user_id, a.admission_id, a.start.isoformat(), a.end.isoformat(),
+         str(a.is_ed_admission).lower(), str(a.readmitted_within_30d).lower(),
+         str(len(a.removed_readmission_ids))]
+        for a in labeled
+    ))

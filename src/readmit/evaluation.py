@@ -7,13 +7,12 @@ are required to agree to 1e-12 before the trapezoidal value is returned.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import text_stream
+from .textio import write_csv
 
 AUC_CROSS_CHECK_TOL = 1e-12
 
@@ -32,23 +31,13 @@ def roc_curve(scores, labels) -> list[tuple[float, float, float]]:
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
     _check_two_classes(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int(labels.size - n_pos)
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    l = labels[order]
-    points = [(0.0, 0.0, math.inf)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            tp += int(l[j] == 1)
-            fp += int(l[j] != 1)
-            j += 1
-        points.append((fp / n_neg, tp / n_pos, float(s[i])))
-        i = j
-    return points
+    pos = labels == 1
+    # Distinct scores descending; each threshold is its group's first score.
+    _, first, group = np.unique(-scores, return_index=True, return_inverse=True)
+    tp = np.cumsum(np.bincount(group[pos], minlength=first.size))
+    fp = np.cumsum(np.bincount(group[~pos], minlength=first.size))
+    return [(0.0, 0.0, math.inf),
+            *zip((fp / fp[-1]).tolist(), (tp / tp[-1]).tolist(), scores[first].tolist())]
 
 
 def auc(points: list[tuple[float, float, float]]) -> float:
@@ -64,33 +53,32 @@ def mann_whitney_auc(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     _check_two_classes(labels)
-    n = scores.size
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    s = scores[order]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # mean of 1-based positions
-        i = j
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (2 * ends - counts + 1) / 2.0  # mean of 1-based positions per group
     pos = labels == 1
     n_pos = int(pos.sum())
-    n_neg = n - n_pos
-    u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
+    n_neg = scores.size - n_pos
+    u = float(ranks[group[pos]].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
-def auc_score(scores, labels) -> float:
-    """AUC with the built-in trapezoid-vs-concordance cross check."""
-    trapezoid = auc(roc_curve(scores, labels))
+def roc_auc(scores, labels) -> tuple[list[tuple[float, float, float]], float]:
+    """The ROC points and their trapezoidal AUC, which must agree with the
+    rank-based AUC to ``AUC_CROSS_CHECK_TOL``."""
+    points = roc_curve(scores, labels)
+    trapezoid = auc(points)
     concordance = mann_whitney_auc(scores, labels)
     if abs(trapezoid - concordance) > AUC_CROSS_CHECK_TOL:
         raise AssertionError(
             f"AUC routes disagree: trapezoid {trapezoid!r} vs concordance {concordance!r}"
         )
-    return trapezoid
+    return points, trapezoid
+
+
+def auc_score(scores, labels) -> float:
+    """AUC with the built-in trapezoid-vs-concordance cross check."""
+    return roc_auc(scores, labels)[1]
 
 
 def confusion_metrics(scores, labels, threshold: float = 0.5):
@@ -135,16 +123,18 @@ def evaluate_scores(name, train_scores, train_labels, test_scores, test_labels,
                     threshold: float = 0.5) -> ModelEvaluation:
     train_sens, train_spec = confusion_metrics(train_scores, train_labels, threshold)
     test_sens, test_spec = confusion_metrics(test_scores, test_labels, threshold)
+    train_roc, train_auc = roc_auc(train_scores, train_labels)
+    test_roc, test_auc = roc_auc(test_scores, test_labels)
     return ModelEvaluation(
         name=name,
-        train_auc=auc_score(train_scores, train_labels),
-        test_auc=auc_score(test_scores, test_labels),
+        train_auc=train_auc,
+        test_auc=test_auc,
         train_specificity=train_spec,
         test_specificity=test_spec,
         train_sensitivity=train_sens,
         test_sensitivity=test_sens,
-        train_roc=roc_curve(train_scores, train_labels),
-        test_roc=roc_curve(test_scores, test_labels),
+        train_roc=train_roc,
+        test_roc=test_roc,
     )
 
 
@@ -178,20 +168,12 @@ def _fmt(value) -> str:
 
 
 def write_report_csv(report: EvaluationReport, dest):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow([
-                row.name, _fmt(row.train_auc), _fmt(row.test_auc),
-                _fmt(row.train_specificity), _fmt(row.test_specificity),
-                _fmt(row.train_sensitivity), _fmt(row.test_sensitivity),
-            ])
+    write_csv(dest, REPORT_COLUMNS, (
+        [row.name, *(_fmt(getattr(row, column)) for column in REPORT_COLUMNS[1:])]
+        for row in report.rows
+    ))
 
 
 def write_roc_csv(points, dest):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for fpr, tpr, thr in points:
-            writer.writerow([repr(thr), repr(fpr), repr(tpr)])
+    write_csv(dest, ["threshold", "fpr", "tpr"],
+              ([repr(thr), repr(fpr), repr(tpr)] for fpr, tpr, thr in points))

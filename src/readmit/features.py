@@ -21,7 +21,7 @@ from .claims import DemographicRecord, MedicalClaim, PharmacyClaim
 from .codes import CodeMappingConfig, OTHER_DIAGNOSIS, icd9_chapter
 from .episodes import LabeledAdmission
 from .errors import ReadmitError
-from .textio import text_stream
+from .textio import text_stream, write_csv
 
 AGE_GROUPS: tuple[tuple[str, int, int | None], ...] = (
     ("Touch", 0, 20),
@@ -213,22 +213,19 @@ def extract_features(
 
 
 def write_features_csv(features: list[AdmissionFeatures], dest):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FEATURES_COLUMNS)
-        for f in features:
-            writer.writerow([
-                f.user_id, f.admission_id,
-                ";".join(sorted(f.comorbidities)),
-                f.gender, f.age_group, f.ethnicity, f.scheme_type,
-                str(f.los_days),
-                ";".join(sorted(f.medication_categories)),
-                str(f.n_prev_admissions), str(f.n_prev_ed_admissions),
-                f.admitting_diagnosis,
-                str(f.n_prev_hospital_visits),
-                ";".join(str(i) for i in sorted(f.procedure_categories)),
-                str(f.readmitted_within_30d).lower(),
-            ])
+    write_csv(dest, FEATURES_COLUMNS, (
+        [f.user_id, f.admission_id,
+         ";".join(sorted(f.comorbidities)),
+         f.gender, f.age_group, f.ethnicity, f.scheme_type,
+         str(f.los_days),
+         ";".join(sorted(f.medication_categories)),
+         str(f.n_prev_admissions), str(f.n_prev_ed_admissions),
+         f.admitting_diagnosis,
+         str(f.n_prev_hospital_visits),
+         ";".join(str(i) for i in sorted(f.procedure_categories)),
+         str(f.readmitted_within_30d).lower()]
+        for f in features
+    ))
 
 
 def read_features_csv(source) -> list[AdmissionFeatures]:

@@ -1,7 +1,4 @@
-from .forest import (
-    RandomForestModel, fit_random_forest, forest_to_text, rf_importances,
-    rf_predict_proba,
-)
+from .forest import RandomForestModel, fit_random_forest, rf_importances, rf_predict_proba
 from .gridsearch import (
     GridSearchResult, expand_grid, grid_search, rf_fold_auc, svm_fold_auc,
     write_grid_csv,
@@ -16,7 +13,7 @@ __all__ = [
     "BUNDLE_KINDS", "GridSearchResult", "LinearSvmModel", "LogisticModel",
     "ModelBundle", "PcaTransform", "RandomForestModel", "chi2_sf_1df",
     "expand_grid", "fit_linear_svm", "fit_logistic", "fit_pca",
-    "fit_random_forest", "forest_to_text", "grid_search", "hinge_objective",
+    "fit_random_forest", "grid_search", "hinge_objective",
     "load_bundle", "loglik_feature_select", "pca_transform", "predict_proba",
     "rf_fold_auc", "rf_importances", "rf_predict_proba", "save_bundle",
     "sigmoid", "svm_decision_scores", "svm_fold_auc", "write_grid_csv",

@@ -54,10 +54,6 @@ class Tree:
     value: np.ndarray       # float64, positive-class fraction of node rows
     n_samples: np.ndarray   # int32, bootstrap rows reaching the node
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
     def node_lines(self) -> list[str]:
         """One text line per node, in the model-file format: feature,
         threshold, left, right, value, n_samples; floats by ``repr``."""
@@ -297,16 +293,3 @@ def rf_importances(model: RandomForestModel) -> list[tuple[str, float]]:
     order = sorted(range(len(names)), key=lambda i: (-model.importances[i], i))
     return [(names[i], float(model.importances[i])) for i in order]
 
-
-def forest_to_text(model: RandomForestModel) -> str:
-    """Canonical text dump; equal strings mean equal forests."""
-    lines = [
-        f"ntree={model.ntree} mtry={model.mtry} nodesize={model.nodesize} "
-        f"maxnodes={model.maxnodes} seed={model.seed}"
-    ]
-    for i, imp in enumerate(model.importances.tolist()):
-        lines.append(f"imp {i} {imp!r}")
-    for t, tree in enumerate(model.trees):
-        lines.append(f"tree {t} nodes {len(tree.feature)}")
-        lines += [f"{k} {line}" for k, line in enumerate(tree.node_lines())]
-    return "\n".join(lines) + "\n"

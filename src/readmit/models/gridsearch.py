@@ -8,7 +8,6 @@ master seed so results do not depend on evaluation order or worker count.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -19,7 +18,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..evaluation import auc_score
 from ..seeding import GRID_STREAM, derive_seed
-from ..textio import text_stream
+from ..textio import write_csv
 from .forest import fit_random_forest, rf_predict_proba
 from .svm import fit_linear_svm, svm_decision_scores
 
@@ -94,18 +93,13 @@ def grid_search(
 
 
 def write_grid_csv(result: GridSearchResult, dest):
-    with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        n_folds = result.fold_aucs.shape[1]
-        writer.writerow(
-            result.param_names
-            + [f"fold_{i}_auc" for i in range(n_folds)]
-            + ["mean_auc", "winner"]
-        )
-        for i, config in enumerate(result.configs):
-            writer.writerow(
-                [str(config[p]) for p in result.param_names]
-                + [repr(v) for v in result.fold_aucs[i].tolist()]
-                + [repr(float(result.mean_aucs[i])),
-                   "1" if i == result.winner_index else "0"]
-            )
+    n_folds = result.fold_aucs.shape[1]
+    header = (result.param_names + [f"fold_{i}_auc" for i in range(n_folds)]
+              + ["mean_auc", "winner"])
+    write_csv(dest, header, (
+        [str(config[p]) for p in result.param_names]
+        + [repr(v) for v in fold_aucs]
+        + [repr(mean_auc), "1" if i == result.winner_index else "0"]
+        for i, (config, fold_aucs, mean_auc) in enumerate(zip(
+            result.configs, result.fold_aucs.tolist(), result.mean_aucs.tolist()))
+    ))

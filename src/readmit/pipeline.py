@@ -30,7 +30,7 @@ from .dataset import (
     train_test_split, write_matrix_csv,
 )
 from .episodes import build_labeled_admissions, write_admissions_csv
-from .errors import ConfigError, ReadmitError
+from .errors import ConfigError, ParseError, ReadmitError
 from .features import extract_features, read_features_csv, write_features_csv
 from .models import (
     ModelBundle, fit_linear_svm, fit_logistic, fit_pca,
@@ -110,7 +110,6 @@ class RunConfig:
     lr_tol: float = 1e-6
     lr_max_iter: int = 500
     selection_significance: float = 0.05
-    select_after_pca: bool = False
     pca_variance_target: float = 0.95
     svm_epochs: int = 5
     rf_grid: dict = field(default_factory=lambda: {k: list(v) for k, v in DEFAULT_RF_GRID.items()})
@@ -152,7 +151,7 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_number(value, integer) and accepts(value)):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-        for name in ("strict", "user_level_split", "select_after_pca"):
+        for name in ("strict", "user_level_split"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in INPUT_PATHS:
@@ -316,6 +315,13 @@ def stage_features(cfg: RunConfig, out_root: Path) -> Path:
     medical, pharmacy, demographics = _parse_all(cfg, out_root)
     mappings = _load_mappings(cfg)
     labeled, _ = build_labeled_admissions(medical, mappings)
+    if not cfg.strict:
+        known = {d.user_id for d in demographics}
+        kept = [a for a in labeled if a.user_id in known]
+        if len(kept) < len(labeled):
+            _log("features", users_without_demographics=len({a.user_id for a in labeled} - known),
+                 admissions_dropped=len(labeled) - len(kept))
+        labeled = kept
     features = extract_features(labeled, medical, pharmacy, demographics, mappings)
     write_features_csv(features, out_dir / "features.csv")
     _write_manifest(cfg, "features", out_dir)
@@ -392,34 +398,17 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     lr_pca = fit_lr("pca_lr", pca_transform(pca_all, Xtr))
     bundles["pca_lr"] = ModelBundle(kind="pca_lr", column_names=cols, pca=pca_all, lr=lr_pca)
 
-    if cfg.select_after_pca:
-        # Alternative reading: project first, then select components; the
-        # unselected components keep zero weight so scoring stays uniform.
-        Ztr = pca_transform(pca_all, Xtr)
-        comp_selection = loglik_feature_select(Ztr, ytr, cfg.selection_significance)
-        selections["pca_lr_selected"] = _selection_report(
-            comp_selection, [f"pc{j + 1}" for j in range(Ztr.shape[1])])
-        comp_idx = comp_selection.columns
-        lr_comp = fit_lr("pca_lr_selected", Ztr[:, comp_idx])
-        weights = np.zeros(Ztr.shape[1])
-        weights[comp_idx] = lr_comp.weights
-        lr_comp.weights = weights
-        bundles["pca_lr_selected"] = ModelBundle(
-            kind="pca_lr_selected", column_names=cols, pca=pca_all, lr=lr_comp,
+    if not selected_idx:
+        raise ConfigError(
+            "feature selection kept no columns; cannot build the "
+            "selected-features PCA model"
         )
-    else:
-        pca_sel = fit_pca(Xtr[:, selected_idx], cfg.pca_variance_target) \
-            if selected_idx else None
-        if pca_sel is None:
-            raise ConfigError(
-                "feature selection kept no columns; cannot build the "
-                "selected-features PCA model"
-            )
-        lr_pca_sel = fit_lr("pca_lr_selected", pca_transform(pca_sel, Xtr[:, selected_idx]))
-        bundles["pca_lr_selected"] = ModelBundle(
-            kind="pca_lr_selected", column_names=cols,
-            selected_columns=selected_names, pca=pca_sel, lr=lr_pca_sel,
-        )
+    pca_sel = fit_pca(Xtr[:, selected_idx], cfg.pca_variance_target)
+    lr_pca_sel = fit_lr("pca_lr_selected", pca_transform(pca_sel, Xtr[:, selected_idx]))
+    bundles["pca_lr_selected"] = ModelBundle(
+        kind="pca_lr_selected", column_names=cols,
+        selected_columns=selected_names, pca=pca_sel, lr=lr_pca_sel,
+    )
 
     rf_result = grid_search(rf_fold_auc, cfg.rf_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
     rf_best = fit_random_forest(
@@ -441,9 +430,22 @@ def _build_matrix(cfg: RunConfig, features_path: Path):
     features = read_features_csv(_require(features_path, "features file"))
     if not features:
         raise ReadmitError(f"{features_path} holds no admissions")
-    matrix = one_hot_encode(features, _load_mappings(cfg))
-    train, test = train_test_split(matrix, cfg.split_spec())
-    return matrix, train, test
+    return one_hot_encode(features, _load_mappings(cfg))
+
+
+def _check_class_balance(train, test, folds):
+    """Raise ConfigError, with the counts, unless the test side and each
+    fold's fit and validation sides hold both classes, which every AUC and
+    fit of ``train_models`` and the report need."""
+    sides = [("test split", test.y)]
+    for i, (fit_idx, val_idx) in enumerate(folds):
+        sides += [(f"fold {i} fit", train.y[fit_idx]), (f"fold {i} validation", train.y[val_idx])]
+    for name, y in sides:
+        positives = int((y == 1).sum())
+        if positives in (0, y.size):
+            raise ConfigError(
+                f"the {name} rows hold {positives} readmitted and {y.size - positives} "
+                "other admissions; each side needs both classes")
 
 
 def _write_split_manifest(cfg: RunConfig, train, test, dest: Path):
@@ -458,12 +460,32 @@ def _write_split_manifest(cfg: RunConfig, train, test, dest: Path):
                     encoding="utf-8")
 
 
+def _read_split_manifest(matrix, path: Path):
+    """The train and test rows of ``matrix`` that the split manifest at
+    ``path`` lists, each side in the manifest's order."""
+    try:
+        manifest = json.loads(_require(path, "split manifest").read_text(encoding="utf-8"))
+        sides = [[tuple(rid) for rid in manifest[key]]
+                 for key in ("train_row_ids", "test_row_ids")]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path} is not a split manifest: {exc}") from exc
+    if not all(sides):
+        raise ParseError(f"{path} lists no train rows or no test rows")
+    index = {rid: i for i, rid in enumerate(matrix.row_ids)}
+    for rid in (rid for side in sides for rid in side):
+        if rid not in index:
+            raise ConfigError(f"{path} lists row {list(rid)}, which the features do not hold")
+    return tuple(matrix.subset([index[rid] for rid in side]) for side in sides)
+
+
 def stage_train(cfg: RunConfig, out_root: Path, features_path: Path | None = None) -> Path:
     out_dir = out_root / "models"
-    out_dir.mkdir(parents=True, exist_ok=True)
     features_path = features_path or out_root / "features" / "features.csv"
-    matrix, train, test = _build_matrix(cfg, features_path)
+    matrix = _build_matrix(cfg, features_path)
+    train, test = train_test_split(matrix, cfg.split_spec())
     folds = stratified_kfold(train.y, cfg.fold_count, cfg.seed)
+    _check_class_balance(train, test, folds)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bundles, rf_result, svm_result, diagnostics = train_models(cfg, matrix, train, folds)
     for kind, bundle in bundles.items():
         save_bundle(bundle, out_dir / f"{kind}.model")
@@ -488,7 +510,8 @@ def stage_evaluate(
     features_path = features_path or out_root / "features" / "features.csv"
     models_dir = models_dir or out_root / "models"
     _require(models_dir, "models directory")
-    matrix, train, test = _build_matrix(cfg, features_path)
+    matrix = _build_matrix(cfg, features_path)
+    train, test = _read_split_manifest(matrix, models_dir / "split_manifest.json")
     bundles = {
         kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
         for kind in BUNDLE_KINDS

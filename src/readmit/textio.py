@@ -1,7 +1,9 @@
-"""The one way readmit's CSV readers and writers get a text stream."""
+"""The one way readmit's CSV readers and writers get a text stream, and
+the one CSV writer."""
 
 from __future__ import annotations
 
+import csv
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -19,3 +21,12 @@ def text_stream(target, mode: str = "r"):
             yield fh
     else:
         yield target
+
+
+def write_csv(dest, header, rows):
+    """Write ``header`` then each of ``rows`` to ``dest`` (a path or an
+    open text stream) as CSV lines ending in ``\\n``."""
+    with text_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

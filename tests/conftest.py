@@ -7,6 +7,7 @@ from readmit.claims import (
     parse_demographics, parse_medical_claims, parse_pharmacy_claims,
 )
 from readmit.codes import load_code_mappings
+from readmit.models import ModelBundle, save_bundle
 
 settings.register_profile(
     "suite",
@@ -38,6 +39,13 @@ WORKED_DEMOGRAPHICS = """user_id,gender,age,ethnicity,scheme_type
 User1,M,25,Asian,Large Central Metro
 User2,F,35,White,Medium Metro
 """
+
+
+def rf_model_text(model) -> str:
+    """The text ``save_bundle`` writes for ``model`` as an rf_best bundle
+    over columns c0, c1, ...; equal texts mean equal forests."""
+    names = [f"c{j}" for j in range(model.importances.size)]
+    return save_bundle(ModelBundle(kind="rf_best", column_names=names, rf=model), io.StringIO())
 
 
 @pytest.fixture(scope="session")

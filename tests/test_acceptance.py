@@ -21,14 +21,14 @@ from readmit.episodes import build_labeled_admissions, readmission_rate_from_cou
 from readmit.evaluation import auc_score, mann_whitney_auc, roc_curve, auc
 from readmit.features import extract_features
 from readmit.models import (
-    fit_logistic, fit_pca, fit_random_forest, forest_to_text,
+    fit_logistic, fit_pca, fit_random_forest,
     predict_proba, rf_importances, rf_predict_proba, fit_linear_svm,
     svm_decision_scores, pca_transform,
 )
 from readmit.models.logistic import nll_gradient, penalized_nll
 from readmit.synth import GeneratorConfig, SignalSpec, generate
 
-from conftest import WORKED_DEMOGRAPHICS, WORKED_MEDICAL, WORKED_PHARMACY
+from conftest import WORKED_DEMOGRAPHICS, WORKED_MEDICAL, WORKED_PHARMACY, rf_model_text
 
 
 def _report(criterion: int, detail: str = ""):
@@ -274,7 +274,7 @@ def test_criterion_7_rf_structural_invariants(mappings):
         assert int(leaves.sum()) <= 300
     assert abs(model.importances.sum() - 1.0) <= 1e-9
     twin = fit_random_forest(matrix.X, matrix.y, seed=2027, **winning)
-    assert forest_to_text(model) == forest_to_text(twin)
+    assert rf_model_text(model) == rf_model_text(twin)
     elapsed = time.monotonic() - started
     assert elapsed < 300.0, f"criterion 7 took {elapsed:.0f}s"
     _report(7, f"({elapsed:.0f}s for two 500-tree fits at 5000 rows)")

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -6,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readmit.evaluation import (
-    auc, auc_score, confusion_metrics, mann_whitney_auc, roc_curve,
+    EvaluationReport, auc, auc_score, confusion_metrics, evaluate_scores,
+    mann_whitney_auc, roc_curve, write_report_csv, write_roc_csv,
 )
 
 
@@ -62,6 +65,7 @@ class TestRocCurve:
         labels = rng.integers(0, 2, n)
         labels[0], labels[1] = 0, 1
         points = roc_curve(scores, labels)
+        assert [(f, t) for f, t, _ in points] == brute_force_roc(scores.tolist(), labels.tolist())
         assert points[0][:2] == (0.0, 0.0)
         assert points[-1][:2] == (1.0, 1.0)
         for (f0, t0, _), (f1, t1, _) in zip(points, points[1:]):
@@ -148,3 +152,33 @@ class TestConfusionMetrics:
 
 def test_mann_whitney_direct():
     assert mann_whitney_auc([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0]) == 0.75
+
+
+# sha256 of the ROC and report CSV text of two tie-heavy score vectors
+# (eleven and six distinct values over 40 rows), first 28 rows as train.
+CSV_SHA256 = {
+    "coarse_train": "a276274276e584db6d92f1c40eab41d88ebd7c22f9c4ab3e2fd862f59fecc992",
+    "coarse_test": "1764447867db91ee587d984d51663b276a9b94b81d38a1276f06096f783ab1f2",
+    "thirds_train": "630129c8c66ae4480030cb6eb37372c155533316776975f6162183781c526bce",
+    "thirds_test": "ae4f2ec949ae66182a87598ee6c02974c9602d33234c55c7866da3c289384117",
+    "report": "3c619933390911e96b7051dca86d462e836f7b3182a4cbe62826f23ccc7542ce",
+}
+
+
+def _csv_sha256(write, value) -> str:
+    buffer = io.StringIO()
+    write(value, buffer)
+    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_roc_and_report_csv_bytes_are_pinned():
+    labels = [int(i % 3 == 0 or i % 7 == 2) for i in range(40)]
+    vectors = {"coarse": [(i * 7) % 11 / 10 for i in range(40)],
+               "thirds": [-((i * 5) % 6) / 3 for i in range(40)]}
+    rows = [evaluate_scores(name, s[:28], labels[:28], s[28:], labels[28:])
+            for name, s in vectors.items()]
+    digests = {"report": _csv_sha256(write_report_csv, EvaluationReport(rows, 0.5))}
+    for row in rows:
+        digests[f"{row.name}_train"] = _csv_sha256(write_roc_csv, row.train_roc)
+        digests[f"{row.name}_test"] = _csv_sha256(write_roc_csv, row.test_roc)
+    assert digests == CSV_SHA256

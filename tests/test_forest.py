@@ -1,5 +1,4 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -10,13 +9,12 @@ from readmit.codes import load_code_mappings
 from readmit.dataset import one_hot_encode
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
-from readmit.models import (
-    ModelBundle, fit_random_forest, forest_to_text, rf_importances,
-    rf_predict_proba, save_bundle,
-)
+from readmit.models import fit_random_forest, rf_importances, rf_predict_proba
 from readmit.models.forest import Tree, _tree_scores
 from readmit.seeding import seed_sequence
 from readmit.synth import GeneratorConfig, generate
+
+from conftest import rf_model_text
 
 
 def xor_data(n=200, seed=0):
@@ -48,13 +46,13 @@ class TestFit:
         X, y = xor_data(150, seed=5)
         a = fit_random_forest(X, y, ntree=40, mtry=2, nodesize=2, maxnodes=64, seed=9)
         b = fit_random_forest(X, y, ntree=40, mtry=2, nodesize=2, maxnodes=64, seed=9)
-        assert forest_to_text(a) == forest_to_text(b)
+        assert rf_model_text(a) == rf_model_text(b)
 
     def test_different_seeds_differ(self):
         X, y = xor_data(150, seed=5)
         a = fit_random_forest(X, y, ntree=10, mtry=2, nodesize=2, maxnodes=64, seed=1)
         b = fit_random_forest(X, y, ntree=10, mtry=2, nodesize=2, maxnodes=64, seed=2)
-        assert forest_to_text(a) != forest_to_text(b)
+        assert rf_model_text(a) != rf_model_text(b)
 
     def test_mtry_out_of_range_rejected(self):
         X, y = xor_data(50)
@@ -277,5 +275,5 @@ def test_saved_model_bytes_are_pinned(case):
     X, y, params = GOLDEN_CASES[case]()
     names = [f"c{j}" for j in range(X.shape[1])]
     model = fit_random_forest(X, y, column_names=names, **params)
-    text = save_bundle(ModelBundle(kind="rf_best", column_names=names, rf=model), io.StringIO())
+    text = rf_model_text(model)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256[case]

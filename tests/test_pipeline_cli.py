@@ -277,6 +277,7 @@ class TestCliExitCodes:
                      id="generator-signal-missing-keys"),
         pytest.param({"generator": {"n_users": "x"}}, id="generator-n_users-text"),
         pytest.param({"generator": {"n_users": 0}}, id="generator-n_users-0"),
+        {"select_after_pca": False},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
         config_path = tmp_path / "c.json"
@@ -297,6 +298,71 @@ class TestCliExitCodes:
                      "--models", str(models), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "lr_all model" in err and "Traceback" not in err
+
+    def _evaluate(self, small_run, models, out, *flags):
+        return main(["evaluate", "--config", str(small_run["config_path"]), *flags,
+                     "--features", str(small_run["out"] / "features" / "features.csv"),
+                     "--models", str(models), "--out", str(out)])
+
+    def test_evaluate_reads_the_split_of_train(self, small_run, tmp_path):
+        out = tmp_path / "o"
+        assert self._evaluate(small_run, small_run["out"] / "models", out, "--seed", "8") == 0
+        for path in sorted((small_run["out"] / "eval").glob("*.csv")):
+            assert (out / "eval" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("damage,code,message", [
+        pytest.param(lambda path: path.unlink(), 3, "split manifest", id="missing"),
+        pytest.param(lambda path: path.write_text(path.read_text().replace(
+            '"test_row_ids": [', '"test_row_ids": [["U999999", "A999999"], ')),
+            5, "U999999", id="row-not-in-features"),
+        pytest.param(lambda path: path.write_text("{"), 4, "not a split manifest",
+                     id="not-json"),
+        pytest.param(lambda path: path.write_text(
+            '{"train_row_ids": [["U000001", "A000001"]], "test_row_ids": []}'),
+            4, "no test rows", id="empty-side"),
+    ])
+    def test_evaluate_bad_split_manifest(self, small_run, tmp_path, capsys,
+                                         damage, code, message):
+        models = tmp_path / "models"
+        shutil.copytree(small_run["out"] / "models", models)
+        damage(models / "split_manifest.json")
+        assert self._evaluate(small_run, models, tmp_path / "o") == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_single_class_fold_exit_5_before_models(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"fold_count": 10, "generator": {"n_users": 40}}))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
+        assert (out / "features" / "features.csv").exists()
+        assert not (out / "models").exists()
+        assert "readmitted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--ccs-map", "--medical"])
+    def test_directory_as_input_exit_3(self, flag, worked_example_files, tmp_path, capsys):
+        flags = {"--medical": str(worked_example_files["medical"]), flag: str(tmp_path)}
+        argv = ["episodes", "--out", str(tmp_path / "o")]
+        for name, value in flags.items():
+            argv += [name, value]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Traceback" not in err
+
+    def test_lenient_features_drop_users_without_demographics(self, worked_example_files,
+                                                              tmp_path, capsys):
+        demographics = worked_example_files["demographics"]
+        demographics.write_text(demographics.read_text().replace("User1,M,25", "User1,M,old"))
+        inputs = ["--medical", str(worked_example_files["medical"]),
+                  "--pharmacy", str(worked_example_files["pharmacy"]),
+                  "--demographics", str(demographics)]
+        assert main(["features", *inputs, "--out", str(tmp_path / "strict")]) == 4
+        out = tmp_path / "lenient"
+        assert main(["features", "--lenient", *inputs, "--out", str(out)]) == 0
+        users = {line.split(",")[0]
+                 for line in (out / "features" / "features.csv").read_text().splitlines()[1:]}
+        assert users == {"User2"}
+        assert "admissions_dropped=2" in capsys.readouterr().err
 
     def test_non_finite_threshold_flag_exit_5(self, tmp_path):
         assert main(["all", "--threshold", "nan", "--out", str(tmp_path / "o")]) == 5
@@ -372,23 +438,6 @@ class TestPersistence:
         bundle = ModelBundle(kind="lr_all", column_names=matrix.column_names, lr=model)
         with pytest.raises(Exception):
             bundle.score(matrix.X, ["wrong"] * len(matrix.column_names))
-
-    def test_select_after_pca_variant(self, mappings, tmp_path):
-        overrides = dict(SMALL_CONFIG)
-        overrides["select_after_pca"] = True
-        cfg = RunConfig.from_dict(overrides)
-        matrix = self.make_matrix(mappings)
-        train, test = train_test_split(matrix, cfg.split_spec())
-        folds = stratified_kfold(train.y, 3, cfg.seed)
-        bundles, _, _, _ = train_models(cfg, matrix, train, folds)
-        bundle = bundles["pca_lr_selected"]
-        assert bundle.selected_columns is None          # selection happened in component space
-        assert bundle.pca is not None
-        scores = bundle.score(test.X, matrix.column_names)
-        assert np.all((scores >= 0) & (scores <= 1))
-        path = tmp_path / "pca_lr_selected.model"
-        save_bundle(bundle, path)
-        assert np.array_equal(load_bundle(path).score(test.X, matrix.column_names), scores)
 
 
 def _lr_text() -> str:
