@@ -19,17 +19,30 @@ Trees are grown by counting, not by copying rows:
   one product ``[w; w*y][:, rows] @ below[rows]`` with the 0/1 matrix of
   ``_CodedMatrix``. When a node is split, only the child with fewer rows
   is counted; the other child's histogram is the parent's minus it.
-- Both children of a split are scored in one vectorized pass. Their
-  features are drawn first, left child then right, the order in which
-  nodes are considered, so the random stream does not depend on how the
-  counting is batched.
+- Both children of a split are scored in one vectorized pass over the
+  ``below`` columns of their drawn features only, in draw order, so the
+  first maximum is the tie winner. Their features are drawn first, left
+  child then right, the order in which nodes are considered, so the random
+  stream does not depend on how the counting is batched.
 
 The product runs in float32. Every sum is an integer no larger than n, so
-it is exact for n <= 2**24 rows; ``fit_random_forest`` refuses more. The
-0/1 matrix has n rows and one column per (column, distinct value except
-the largest): n x ~190 float32 (~5.5 MB at 7,200 rows) on readmit's design
-matrix, whose columns hold few distinct values. A column with u distinct
-values costs u - 1 columns, so a continuous column costs about n.
+it is exact for n <= 2**24 rows; ``fit_random_forest`` refuses more.
+
+``below`` is built once per fit: a plain sort per column gives the
+distinct values (no ``np.unique(return_inverse=True)``, which argsorts),
+then each block of rows is compared with every candidate value at once,
+straight into one preallocated float32 array.
+It is C-ordered, n x (distinct values - 1 summed over columns), because a
+node gathers whole rows of it; n x ~190 (~5.5 MB at 7,200 rows) on
+readmit's design matrix, whose columns hold few distinct values. A
+continuous column costs about n columns. -0.0 and 0.0 are one value.
+
+Per-call overhead, not arithmetic, bounds a node: on 7,200 rows a split
+costs ~100 us, of which the histogram product is ~15 us and the feature
+draws ~25 us; the rest is a few dozen numpy calls on arrays of a few
+hundred entries, the heap and bookkeeping. So the per-node code keeps its
+numpy calls few, scores the two children of a split together and enters
+``np.errstate`` once per fit.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ import numpy as np
 from ..seeding import seed_sequence
 
 MAX_ROWS = 2 ** 24   # float32 holds every integer count up to here exactly
+_CODE_ROWS = 32      # rows per block when building the 0/1 matrix
 
 
 @dataclass
@@ -80,143 +94,145 @@ class RandomForestModel:
 class _CodedMatrix:
     """Cumulative value indicators for split search by counting.
 
-    Each column j is mapped once to dense ranks over its sorted distinct
-    values ``uniques[j]``. ``below`` has one 0/1 column per (j, rank b)
-    for every rank but the last, set on the rows whose rank in j is at most
-    b: a candidate split ``x_j <= uniques[j][b]``. ``feature`` gives the
-    column j of each ``below`` column and ``start`` the first ``below``
-    column of each j.
+    ``uniques[j]`` holds the sorted distinct values of column j. ``below``
+    has one 0/1 column per (j, b) for every b but the last, set on the rows
+    where ``x_j <= uniques[j][b]``: the candidate split at that value.
+    ``feature`` gives the column j of each ``below`` column and ``start``
+    the first ``below`` column of each j, and ``columns[j]`` lists j's
+    ``below`` columns.
     """
 
     def __init__(self, X):
-        self.uniques, blocks = [], []
-        for column in X.T:
-            uniq, rank = np.unique(column, return_inverse=True)
-            self.uniques.append(uniq)
-            blocks.append(rank.reshape(-1, 1) <= np.arange(uniq.size - 1))
-        self.below = np.concatenate(blocks, axis=1, dtype=np.float32)
+        # A sort and a neighbour test, not np.unique: the first plain
+        # np.unique call imports numpy.ma (~1 MB resident), and
+        # return_inverse costs an argsort.
+        self.uniques = []
+        for j, column in enumerate(X.T):
+            ordered = np.sort(column)
+            if np.isnan(ordered[-1]):   # NaN sorts last
+                raise ValueError(f"column {j} holds NaN")
+            self.uniques.append(ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))])
         widths = [u.size - 1 for u in self.uniques]
         self.feature = np.repeat(np.arange(len(widths)), widths)
         self.start = np.cumsum(widths) - widths
+        values = np.concatenate([u[:-1] for u in self.uniques])
+        self.below = np.empty((X.shape[0], values.size), dtype=np.float32)
+        for r in range(0, X.shape[0], _CODE_ROWS):
+            np.less_equal(X[r:r + _CODE_ROWS].take(self.feature, axis=1), values,
+                          out=self.below[r:r + _CODE_ROWS])
+        self.columns = [list(range(s, s + w)) for s, w in zip(self.start.tolist(), widths)]
 
-    def threshold(self, k: int, counts_below) -> float:
-        """Threshold of the split at ``below`` column k of a node whose
-        weighted row counts per ``below`` column are ``counts_below``: the
-        midpoint between k's value and the next larger value the node holds."""
-        j = int(self.feature[k])
-        b = k - int(self.start[j])
-        column = counts_below[self.start[j]:self.start[j] + self.uniques[j].size - 1]
-        nxt = int(np.searchsorted(column, column[b], side="right"))
-        lo = float(self.uniques[j][b])
-        hi = float(self.uniques[j][nxt])
+    def threshold(self, j: int, k: int, counts_below) -> float:
+        """Threshold of the split at ``below`` column k (of column j) of a
+        node whose weighted row counts per ``below`` column are
+        ``counts_below``: the midpoint between k's value and the next larger
+        value the node holds."""
+        uniq = self.uniques[j]
+        s = int(self.start[j])
+        column = counts_below[s:s + uniq.size - 1]
+        b = k - s
+        lo = float(uniq[b])
+        hi = float(uniq[column.searchsorted(column[b], side="right")])
         threshold = (lo + hi) / 2.0
         if not lo < threshold < hi:
             threshold = lo   # adjacent floats: keep the float and rank splits equal
         return threshold
 
 
-def _best_splits(hists, sizes, positives, feats, nodesize, coded: _CodedMatrix):
-    """(gain, ``below`` column) of the best split of each node, or None if
-    no valid split among its drawn features lowers impurity.
-
-    ``hists[i]`` holds node i's weighted (rows, positives) at or below each
-    ``below`` column. Ties go to the earliest drawn feature, then to the
-    lowest value. An empty rank needs no test of its own: its split equals
-    that of the nearest non-empty rank below it, which wins the tie, or
-    leaves no rows on the left and is invalid.
-    """
-    left_n, left_pos = hists.astype(np.float64).transpose(1, 0, 2)
-    n = np.array(sizes, dtype=np.float64)[:, None]
-    pos = np.array(positives, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    right_pos = pos - left_pos
-    node_impurity = 2.0 * pos * (n - pos) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        children = (
-            2.0 * left_pos * (left_n - left_pos) / left_n
-            + 2.0 * right_pos * (right_n - right_pos) / right_n
-        )
-    gains = node_impurity - children
-    mtry = feats.shape[1]
-    order = np.full((len(feats), len(coded.uniques)), mtry)
-    order[np.arange(len(feats))[:, None], feats] = np.arange(mtry)
-    order = order[:, coded.feature]
-    gains[(order == mtry) | (left_n < nodesize) | (right_n < nodesize)] = -np.inf
-    best = gains.max(axis=1)
-    first = np.where(gains == best[:, None], order, mtry).argmin(axis=1)
-    return [(gain, k) if gain > 0.0 else None for gain, k in zip(best.tolist(), first.tolist())]
-
-
 def _fit_tree(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rng):
     n, d = coded.below.shape[0], len(coded.uniques)
-    importances = np.zeros(d)
+    below, feature, columns = coded.below, coded.feature, coded.columns
+    width = below.shape[1]
     w = np.bincount(rng.integers(0, n, n), minlength=n)
     wy = w * y
     counts = np.stack([w, wy]).astype(np.float32)
-
-    feature, threshold, left, right, value, n_samples = [], [], [], [], [], []
-
-    def add_node(size, positives):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(positives / size)
-        n_samples.append(size)
-        return len(feature) - 1
-
+    sizes, positives = [n], [int(wy.sum())]
+    splits = []                  # (node, feature, threshold, left child), in split order
+    importances = [0.0] * d
     heap = []
     counter = itertools.count()
 
     def consider(nodes, parent_hist=None):
         """Draw features for each (node, rows, size, positives) in order and
-        queue the best split of each node that has one."""
-        feats = np.array([rng.choice(d, size=mtry, replace=False) for _ in nodes])
+        queue the best split of each node that has one. Ties go to the
+        earliest drawn feature, then to the lowest value."""
+        feats = [rng.choice(d, size=mtry, replace=False).tolist() for _ in nodes]
         open_ = [i for i, (_, _, size, pos) in enumerate(nodes)
                  if size >= 2 * nodesize and 0 < pos < size]
-        if not open_ or coded.feature.size == 0:   # nothing to split, or every column constant
+        if not open_ or not width:   # nothing to split, or every column constant
             return
+        # hist[:, i] holds node i's weighted (rows, positives) at or below
+        # each below column
         if parent_hist is None:
-            hists = [counts @ coded.below]
+            hist = (counts @ below)[:, None]
         else:
-            rows_l, rows_r = nodes[0][1], nodes[1][1]
-            rows = rows_l if rows_l.size <= rows_r.size else rows_r
-            counted = counts[:, rows] @ coded.below[rows]
-            rest = parent_hist - counted
-            hists = [counted, rest] if rows is rows_l else [rest, counted]
-        splits = _best_splits(
-            np.stack([hists[i] for i in open_]), [nodes[i][2] for i in open_],
-            [nodes[i][3] for i in open_], feats[open_], nodesize, coded)
-        for i, split in zip(open_, splits):
-            if split is not None:
-                heapq.heappush(heap, (-split[0], next(counter), split, nodes[i], hists[i]))
+            small = int(nodes[1][1].size < nodes[0][1].size)
+            rows = nodes[small][1]
+            hist = np.empty((2, 2, width), dtype=np.float32)
+            hist[:, small] = counts.take(rows, axis=1) @ below.take(rows, axis=0)
+            np.subtract(parent_hist, hist[:, small], out=hist[:, 1 - small])
+        # Score only the drawn features' below columns, in draw order; idx
+        # indexes hist.reshape(2, -1). An empty rank needs no test of its
+        # own: its split equals that of the nearest non-empty rank below it,
+        # which wins the tie, or leaves no rows on the left and is invalid.
+        idx, lengths, totals = [], [], []
+        for i in open_:
+            found = [k + i * width for f in feats[i] for k in columns[f]]
+            idx += found
+            lengths.append(len(found))
+            _, _, size, pos = nodes[i]
+            totals.append((size, pos, 2.0 * pos * (size - pos) / size))
+        if not idx:
+            return
+        tot = np.repeat(np.array(totals).T, lengths, axis=1)
+        sides = np.empty((2, 2, len(idx)))           # (left, right) x (rows, positives)
+        sides[0] = hist.reshape(2, -1)[:, idx]
+        np.subtract(tot[:2], sides[0], out=sides[1])
+        side_n, side_pos = sides[:, 0], sides[:, 1]
+        gini = 2.0 * side_pos * (side_n - side_pos) / side_n
+        gains = tot[2] - (gini[0] + gini[1])
+        gains[side_n.min(axis=0) < nodesize] = -np.inf
+        lo = 0
+        for i, length in zip(open_, lengths):
+            hi = lo + length
+            if length:
+                best = lo + int(gains[lo:hi].argmax())
+                gain = float(gains[best])
+                if gain > 0.0:
+                    node, node_rows, size, pos = nodes[i]
+                    heapq.heappush(heap, (-gain, next(counter), idx[best] - i * width,
+                                          node, node_rows, size, pos, hist[:, i]))
+            lo = hi
 
-    positives = int(wy.sum())
-    consider([(add_node(n, positives), np.flatnonzero(w), n, positives)])
-    leaves = 1
-    while heap and leaves < maxnodes:
-        _, _, (gain, k), (node_id, rows, size, pos), hist = heapq.heappop(heap)
-        feat = int(coded.feature[k])
-        importances[feat] += gain
-        feature[node_id] = feat
-        threshold[node_id] = coded.threshold(k, hist[0])
-        go_left = coded.below[rows, k] > 0
+    consider([(0, np.flatnonzero(w), n, positives[0])])
+    while heap and len(splits) + 1 < maxnodes:
+        neg_gain, _, k, node, rows, size, pos, hist = heapq.heappop(heap)
+        j = int(feature[k])
+        importances[j] += -neg_gain
+        left = len(sizes)
+        splits.append((node, j, coded.threshold(j, k, hist[0]), left))
+        go_left = below[rows, k] > 0
         size_l, pos_l = int(hist[0, k]), int(hist[1, k])
-        size_r, pos_r = size - size_l, pos - pos_l
-        left[node_id] = add_node(size_l, pos_l)
-        right[node_id] = add_node(size_r, pos_r)
-        consider([(left[node_id], rows[go_left], size_l, pos_l),
-                  (right[node_id], rows[~go_left], size_r, pos_r)], hist)
-        leaves += 1
+        sizes += [size_l, size - size_l]
+        positives += [pos_l, pos - pos_l]
+        consider([(left, rows[go_left], size_l, pos_l),
+                  (left + 1, rows[~go_left], size - size_l, pos - pos_l)], hist)
+    m = len(sizes)
     tree = Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-        n_samples=np.array(n_samples, dtype=np.int32),
+        feature=np.full(m, -1, dtype=np.int32),
+        threshold=np.zeros(m),
+        left=np.full(m, -1, dtype=np.int32),
+        right=np.full(m, -1, dtype=np.int32),
+        value=np.array(positives) / np.array(sizes),
+        n_samples=np.array(sizes, dtype=np.int32),
     )
-    return tree, importances
+    if splits:
+        nodes, feats, thresholds, lefts = (list(v) for v in zip(*splits))
+        tree.feature[nodes] = feats
+        tree.threshold[nodes] = thresholds
+        tree.left[nodes] = lefts
+        tree.right[nodes] = np.array(lefts) + 1
+    return tree, np.array(importances)
 
 
 def fit_random_forest(
@@ -245,11 +261,12 @@ def fit_random_forest(
     coded = _CodedMatrix(X)
     trees = []
     importances = np.zeros(d)
-    for child in seed_sequence(seed).spawn(ntree):
-        rng = np.random.Generator(np.random.PCG64(child))
-        tree, partial = _fit_tree(coded, y, mtry, nodesize, maxnodes, rng)
-        trees.append(tree)
-        importances += partial
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 on empty sides, masked
+        for child in seed_sequence(seed).spawn(ntree):
+            rng = np.random.Generator(np.random.PCG64(child))
+            tree, partial = _fit_tree(coded, y, mtry, nodesize, maxnodes, rng)
+            trees.append(tree)
+            importances += partial
     total = importances.sum()
     if total > 0:
         importances = importances / total

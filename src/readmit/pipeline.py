@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,19 @@ def _read_split_manifest(matrix, path: Path):
     return tuple(matrix.subset([index[rid] for rid in side]) for side in sides)
 
 
+def _check_model_columns(bundles, column_names: list[str]):
+    """Raise ConfigError naming the first column where a model's columns
+    and the encoded features differ, e.g. after a different code map."""
+    for kind, bundle in bundles.items():
+        pairs = zip_longest(bundle.column_names, column_names)
+        for i, (model_col, feature_col) in enumerate(pairs):
+            if model_col != feature_col:
+                raise ConfigError(
+                    f"features do not match the {kind} model at column {i}: "
+                    f"{feature_col or 'none'} in the features, "
+                    f"{model_col or 'none'} in the model")
+
+
 def stage_train(cfg: RunConfig, out_root: Path, features_path: Path | None = None) -> Path:
     out_dir = out_root / "models"
     features_path = features_path or out_root / "features" / "features.csv"
@@ -516,6 +530,7 @@ def stage_evaluate(
         kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
         for kind in BUNDLE_KINDS
     }
+    _check_model_columns(bundles, matrix.column_names)
     report = build_report(bundles, train, test, cfg.threshold)
     for row in report.rows:
         write_roc_csv(row.train_roc, out_dir / f"roc_{row.name}_train.csv")

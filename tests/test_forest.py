@@ -10,7 +10,7 @@ from readmit.dataset import one_hot_encode
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
 from readmit.models import fit_random_forest, rf_importances, rf_predict_proba
-from readmit.models.forest import Tree, _tree_scores
+from readmit.models.forest import Tree, _CodedMatrix, _tree_scores
 from readmit.seeding import seed_sequence
 from readmit.synth import GeneratorConfig, generate
 
@@ -58,6 +58,12 @@ class TestFit:
         X, y = xor_data(50)
         with pytest.raises(ValueError):
             fit_random_forest(X, y, ntree=5, mtry=3, nodesize=1, maxnodes=10, seed=0)
+
+    def test_nan_rejected(self):
+        X, y = xor_data(50)
+        X[7, 1] = np.nan
+        with pytest.raises(ValueError, match="column 1"):
+            fit_random_forest(X, y, ntree=5, mtry=1, nodesize=1, maxnodes=10, seed=0)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +219,60 @@ class TestImportances:
         assert np.all(model.importances >= 0.0)
 
 
+def _reference_coding(X):
+    """``_CodedMatrix``'s fields built from dense ranks, one
+    ``np.unique(return_inverse=True)`` per column."""
+    uniques, blocks = [], []
+    for column in X.T:
+        uniq, rank = np.unique(column, return_inverse=True)
+        uniques.append(uniq)
+        blocks.append(rank.reshape(-1, 1) <= np.arange(uniq.size - 1))
+    widths = [u.size - 1 for u in uniques]
+    below = np.concatenate(blocks, axis=1, dtype=np.float32)
+    return below, np.repeat(np.arange(len(widths)), widths), np.cumsum(widths) - widths, uniques
+
+
+_POOL = [-0.0, 0.0, 1.0, -1.0, 2.5, np.nextafter(1.0, 2.0), np.nextafter(0.0, 1.0), 1e300]
+
+
+@st.composite
+def _coding_inputs(draw):
+    n = draw(st.integers(1, 40), label="n")
+    columns = []
+    for _ in range(draw(st.integers(1, 6), label="d")):
+        kind = draw(st.sampled_from(["pool", "constant", "fifteen", "ulp", "duplicate"]))
+        if kind == "duplicate" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))].copy())
+        elif kind == "constant":
+            columns.append(np.full(n, draw(st.sampled_from(_POOL))))
+        elif kind == "fifteen":
+            values = draw(st.permutations([i % 15 for i in range(n)]))
+            columns.append(np.array(values, dtype=float) * draw(st.sampled_from([1.0, -0.5])))
+        elif kind == "ulp":
+            base = draw(st.floats(-1e6, 1e6, allow_nan=False))
+            near = [base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+            columns.append(np.array(draw(st.lists(st.sampled_from(near), min_size=n,
+                                                  max_size=n))))
+        else:
+            columns.append(np.array(draw(st.lists(st.sampled_from(_POOL), min_size=n,
+                                                  max_size=n))))
+    return np.column_stack(columns)
+
+
+class TestCodedMatrix:
+    @given(_coding_inputs())
+    def test_matches_dense_rank_coding(self, X):
+        coded = _CodedMatrix(X)
+        below, feature, start, uniques = _reference_coding(X)
+        assert coded.below.dtype == np.float32 and coded.below.flags.c_contiguous
+        assert np.array_equal(coded.below, below)
+        assert np.array_equal(coded.feature, feature)
+        assert np.array_equal(coded.start, start)
+        # -0.0 and 0.0 are one value; either may stand for it
+        assert len(coded.uniques) == len(uniques)
+        assert all(np.array_equal(a, b) for a, b in zip(coded.uniques, uniques))
+
+
 def _golden_xor():
     X, y = xor_data(200, seed=0)
     return X, y, dict(ntree=10, mtry=2, nodesize=1, maxnodes=10_000, seed=3)
@@ -252,6 +312,18 @@ def _golden_design_matrix():
     return matrix.X, matrix.y, dict(ntree=10, mtry=50, nodesize=7, maxnodes=300, seed=2027)
 
 
+def _golden_gain_ties():
+    """Exact gain ties between features: two copies of each 0/1 column,
+    three constant columns and ``mtry`` 2, so some nodes draw two copies and
+    some draw only constants."""
+    rng = np.random.default_rng(73)
+    a, b = rng.integers(0, 2, (2, 160))
+    zeros, ones = np.zeros(160), np.ones(160)
+    X = np.column_stack([a, zeros, b, a, ones, b, rng.integers(0, 3, 160), zeros])
+    y = (rng.random(160) < 0.1 + 0.3 * a + 0.25 * b).astype(int)
+    return X.astype(float), y, dict(ntree=20, mtry=2, nodesize=2, maxnodes=24, seed=79)
+
+
 # sha256 of the saved rf_best model file; a change to tree growth that
 # keeps these digests keeps every model file byte for byte.
 GOLDEN_MODEL_SHA256 = {
@@ -260,6 +332,7 @@ GOLDEN_MODEL_SHA256 = {
     "maxnodes_binding": "0bc16f154c79738777a813ffbc8d392c7c00cf97ddea4089d40bc06a5826a884",
     "single_class": "867743c7fe9f9c659ed65db40738af703f1f77c5187c9a4590660b51d077e64e",
     "design_matrix": "93742a7bb6fa82227eb46e492bf4860d3e52b57467ea88b7bb034e3f841da5be",
+    "gain_ties": "66c46468bd7e9abaaf7d059feae9c846ef0400daab197787d3ff7efe053ac41c",
 }
 GOLDEN_CASES = {
     "xor": _golden_xor,
@@ -267,6 +340,7 @@ GOLDEN_CASES = {
     "maxnodes_binding": _golden_maxnodes_binding,
     "single_class": _golden_single_class,
     "design_matrix": _golden_design_matrix,
+    "gain_ties": _golden_gain_ties,
 }
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import shutil
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from readmit.models import LogisticModel, RandomForestModel, fit_logistic, fit_p
 from readmit.models.forest import Tree
 from readmit.models.persist import ModelBundle, load_bundle, save_bundle
 from readmit.pipeline import DEFAULT_GENERATOR, RunConfig, train_models
+
+DEFAULT_CCS_MAP = Path(str(resources.files("readmit").joinpath("data", "ccs_map.csv")))
 
 SMALL_CONFIG = {
     "seed": 7,
@@ -280,12 +283,24 @@ class TestCliExitCodes:
         {"select_after_pca": False},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
+        # Over SMALL_CONFIG, so a case that validation accepts fails in
+        # seconds; a case's key replaces the base key whole.
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps(bad))
+        config_path.write_text(json.dumps({**SMALL_CONFIG, **bad}))
         out = tmp_path / "o"
         assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
         assert not out.exists()
         assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_features_model_column_mismatch_exit_5(self, small_run, tmp_path, capsys):
+        ccs_map = tmp_path / "ccs_map.csv"
+        ccs_map.write_text(DEFAULT_CCS_MAP.read_text() + "99990,99991,999,Extra category\n")
+        out = tmp_path / "o"
+        assert self._evaluate(small_run, small_run["out"] / "models", out,
+                              "--ccs-map", str(ccs_map)) == 5
+        err = capsys.readouterr().err
+        assert "proc_999" in err and "lr_all" in err and "Traceback" not in err
+        assert not (out / "eval" / "report.csv").exists()
 
     def test_truncated_model_file_exit_4(self, small_run, tmp_path, capsys):
         models = tmp_path / "models"
