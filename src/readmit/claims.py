@@ -112,7 +112,7 @@ def _required(value: str, what: str) -> str:
     return value
 
 
-def _parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
+def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
     with _text_input(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -210,11 +210,11 @@ def _demographic_row(fields: dict[str, str]) -> DemographicRecord:
 
 
 def parse_medical_claims(source, strict: bool = True) -> ParseResult:
-    return _parse_table(source, MEDICAL_COLUMNS, _medical_row, strict)
+    return parse_table(source, MEDICAL_COLUMNS, _medical_row, strict)
 
 
 def parse_pharmacy_claims(source, strict: bool = True) -> ParseResult:
-    return _parse_table(source, PHARMACY_COLUMNS, _pharmacy_row, strict)
+    return parse_table(source, PHARMACY_COLUMNS, _pharmacy_row, strict)
 
 
 def parse_demographics(source, strict: bool = True) -> ParseResult:
@@ -225,7 +225,7 @@ def parse_demographics(source, strict: bool = True) -> ParseResult:
             raise ValueError(f"duplicate demographics row for user {record.user_id!r}")
         seen.add(record.user_id)
 
-    return _parse_table(source, DEMOGRAPHICS_COLUMNS, _demographic_row, strict, hook=check_unique)
+    return parse_table(source, DEMOGRAPHICS_COLUMNS, _demographic_row, strict, hook=check_unique)
 
 
 def _other_diagnoses_field(record: MedicalClaim) -> str:

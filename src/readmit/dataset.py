@@ -8,14 +8,12 @@ train/test. Numeric features pass through unscaled.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES
-from .codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, CodeMappingConfig
-from .features import AGE_GROUP_NAMES, MEDICATION_CATEGORIES, AdmissionFeatures
+from .codes import CodeMappingConfig
+from .features import COUNT, FAMILIES, ONE_OF, SET, AdmissionFeatures
 from .seeding import FOLD_STREAM, SPLIT_STREAM, rng_for
 from .textio import write_csv
 
@@ -55,113 +53,58 @@ class SplitSpec:
             raise ValueError("fold_count must be at least 2")
 
 
-def _sanitize(name: str) -> str:
-    return re.sub(r"[^0-9A-Za-z]+", "_", name).strip("_")
-
-
 def feature_columns(config: CodeMappingConfig) -> list[str]:
     """Deterministic column universe, grouped by predictor family."""
-    cols: list[str] = []
-    cols += [f"comorb_{n}" for n in COMORBIDITY_NAMES]
-    cols += [f"gender_{g}" for g in GENDERS]
-    cols += [f"age_{g}" for g in AGE_GROUP_NAMES]
-    cols += [f"ethnicity_{e}" for e in ETHNICITIES]
-    cols += [f"scheme_{s}" for s in SCHEME_TYPES]
-    cols.append("los_days")
-    cols += [f"med_{c}" for c in MEDICATION_CATEGORIES]
-    cols += ["n_prev_admissions", "n_prev_ed_admissions"]
-    cols += [f"admitdx_{_sanitize(level)}" for level in ADMITTING_DIAGNOSIS_LEVELS]
-    cols.append("n_prev_hospital_visits")
-    cols += [f"proc_{i}" for i in config.ccs_ids()]
-    return cols
-
-
-def _check_level(value, domain, what):
-    if value not in domain:
-        raise ValueError(f"{what} value {value!r} outside declared domain")
+    return [name for family in FAMILIES for name in family.columns(config)]
 
 
 def one_hot_encode(features: list[AdmissionFeatures], config: CodeMappingConfig) -> FeatureMatrix:
+    """Each family's columns filled for all rows at once; a level outside
+    its family's domain raises ValueError naming the admission."""
     if not features:
         raise ValueError("cannot encode an empty feature list")
     cols = feature_columns(config)
-    index = {name: i for i, name in enumerate(cols)}
-    ccs_ids = set(config.ccs_ids())
+    index = {name: j for j, name in enumerate(cols)}
     X = np.zeros((len(features), len(cols)), dtype=np.float64)
-    y = np.zeros(len(features), dtype=np.int8)
-    row_ids = []
-    for r, f in enumerate(features):
-        _check_level(f.gender, GENDERS, "gender")
-        _check_level(f.age_group, AGE_GROUP_NAMES, "age_group")
-        _check_level(f.ethnicity, ETHNICITIES, "ethnicity")
-        _check_level(f.scheme_type, SCHEME_TYPES, "scheme_type")
-        _check_level(f.admitting_diagnosis, ADMITTING_DIAGNOSIS_LEVELS, "admitting_diagnosis")
-        for name in f.comorbidities:
-            _check_level(name, COMORBIDITY_NAMES, "comorbidity")
-            X[r, index[f"comorb_{name}"]] = 1.0
-        X[r, index[f"gender_{f.gender}"]] = 1.0
-        X[r, index[f"age_{f.age_group}"]] = 1.0
-        X[r, index[f"ethnicity_{f.ethnicity}"]] = 1.0
-        X[r, index[f"scheme_{f.scheme_type}"]] = 1.0
-        X[r, index["los_days"]] = float(f.los_days)
-        for cat in f.medication_categories:
-            _check_level(cat, MEDICATION_CATEGORIES, "medication category")
-            X[r, index[f"med_{cat}"]] = 1.0
-        X[r, index["n_prev_admissions"]] = float(f.n_prev_admissions)
-        X[r, index["n_prev_ed_admissions"]] = float(f.n_prev_ed_admissions)
-        X[r, index[f"admitdx_{_sanitize(f.admitting_diagnosis)}"]] = 1.0
-        X[r, index["n_prev_hospital_visits"]] = float(f.n_prev_hospital_visits)
-        for ccs in f.procedure_categories:
-            if ccs not in ccs_ids:
-                raise ValueError(f"CCS category {ccs} not in the mapping file")
-            X[r, index[f"proc_{ccs}"]] = 1.0
-        y[r] = 1 if f.readmitted_within_30d else 0
-        row_ids.append((f.user_id, f.admission_id))
-    return FeatureMatrix(column_names=cols, X=X, y=y, row_ids=row_ids)
-
-
-def _single_level(row, index, prefix, domain, what):
-    hits = [level for level in domain if row[index[f"{prefix}{level}"]] == 1.0]
-    if len(hits) != 1:
-        raise ValueError(f"row does not encode exactly one {what} level")
-    return hits[0]
+    for family in FAMILIES:
+        values = [getattr(f, family.field) for f in features]
+        if family.kind == COUNT:
+            X[:, index[family.field]] = values
+            continue
+        position = dict(zip(family.domain(config), (index[c] for c in family.columns(config))))
+        rows = np.arange(len(features))
+        if family.kind == SET:
+            rows = np.repeat(rows, [len(levels) for levels in values])
+            values = [level for levels in values for level in levels]
+        try:
+            X[rows, [position[level] for level in values]] = 1.0
+        except KeyError as exc:
+            f = features[rows[values.index(exc.args[0])]]
+            raise ValueError(f"admission {f.user_id}/{f.admission_id}: {family.field} "
+                             f"value {exc.args[0]!r} outside the declared domain") from None
+    y = np.array([f.readmitted_within_30d for f in features], dtype=np.int8)
+    return FeatureMatrix(column_names=cols, X=X, y=y,
+                         row_ids=[(f.user_id, f.admission_id) for f in features])
 
 
 def decode_features(matrix: FeatureMatrix, config: CodeMappingConfig) -> list[AdmissionFeatures]:
     """Inverse of :func:`one_hot_encode` on declared-domain rows."""
-    index = {name: i for i, name in enumerate(matrix.column_names)}
-    sanitized_dx = {_sanitize(level): level for level in ADMITTING_DIAGNOSIS_LEVELS}
-    out = []
-    for r in range(matrix.n_rows):
-        row = matrix.X[r]
-        user_id, admission_id = matrix.row_ids[r]
-        dx_key = _single_level(row, index, "admitdx_",
-                               [ _sanitize(l) for l in ADMITTING_DIAGNOSIS_LEVELS ],
-                               "admitting diagnosis")
-        out.append(AdmissionFeatures(
-            user_id=user_id,
-            admission_id=admission_id,
-            comorbidities=frozenset(
-                n for n in COMORBIDITY_NAMES if row[index[f"comorb_{n}"]] == 1.0
-            ),
-            gender=_single_level(row, index, "gender_", GENDERS, "gender"),
-            age_group=_single_level(row, index, "age_", AGE_GROUP_NAMES, "age group"),
-            ethnicity=_single_level(row, index, "ethnicity_", ETHNICITIES, "ethnicity"),
-            scheme_type=_single_level(row, index, "scheme_", SCHEME_TYPES, "scheme type"),
-            los_days=int(row[index["los_days"]]),
-            medication_categories=frozenset(
-                c for c in MEDICATION_CATEGORIES if row[index[f"med_{c}"]] == 1.0
-            ),
-            n_prev_admissions=int(row[index["n_prev_admissions"]]),
-            n_prev_ed_admissions=int(row[index["n_prev_ed_admissions"]]),
-            admitting_diagnosis=sanitized_dx[dx_key],
-            n_prev_hospital_visits=int(row[index["n_prev_hospital_visits"]]),
-            procedure_categories=frozenset(
-                i for i in config.ccs_ids() if row[index[f"proc_{i}"]] == 1.0
-            ),
-            readmitted_within_30d=bool(matrix.y[r]),
-        ))
-    return out
+    index = {name: j for j, name in enumerate(matrix.column_names)}
+    columns = []
+    for family in FAMILIES:
+        block = matrix.X[:, [index[c] for c in family.columns(config)]]
+        if family.kind == COUNT:
+            columns.append([int(v) for v in block[:, 0]])
+            continue
+        levels = family.domain(config)
+        sets = [frozenset(level for level, x in zip(levels, row) if x == 1.0) for row in block]
+        if family.kind == ONE_OF:
+            if any(len(s) != 1 for s in sets):
+                raise ValueError(f"a row does not encode exactly one {family.field} level")
+            sets = [next(iter(s)) for s in sets]
+        columns.append(sets)
+    return [AdmissionFeatures(*row_id, *values, bool(y))
+            for row_id, *values, y in zip(matrix.row_ids, *columns, matrix.y)]
 
 
 def train_test_split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:

@@ -50,10 +50,6 @@ class LabeledAdmission:
     readmitted_within_30d: bool
     removed_readmission_ids: tuple[str, ...]
 
-    @property
-    def member_claim_ids(self) -> tuple[str, ...]:
-        return tuple(c.claim_id for c in self.member_claims)
-
 
 def group_claims_into_episodes(claims: list[MedicalClaim], gap_days: int = 10) -> list[Episode]:
     """Group one user's claims into episodes under the gap rule.

@@ -10,18 +10,27 @@ Window discipline: medication and procedure features come only from claims
 dated within [start, end]; "previous" counts come only from events strictly
 before the admission start. Unknown codes degrade to empty sets or
 "Others", never to errors.
+
+``FAMILIES`` is the one statement of the feature schema. The features.csv
+reader and writer and the design-matrix columns, encoder and decoder in
+``dataset`` all walk it.
 """
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
+from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES, parse_table
 from .claims import DemographicRecord, MedicalClaim, PharmacyClaim
-from .codes import CodeMappingConfig, OTHER_DIAGNOSIS, icd9_chapter
+from .codes import (
+    ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, OTHER_DIAGNOSIS, CodeMappingConfig, icd9_chapter,
+)
 from .episodes import LabeledAdmission
 from .errors import ReadmitError
-from .textio import text_stream, write_csv
+from .textio import write_csv
 
 AGE_GROUPS: tuple[tuple[str, int, int | None], ...] = (
     ("Touch", 0, 20),
@@ -34,12 +43,64 @@ AGE_GROUP_NAMES = tuple(name for name, _, _ in AGE_GROUPS)
 
 MEDICATION_CATEGORIES = tuple(f"{i:02d}" for i in range(100))
 
-FEATURES_COLUMNS = [
-    "user_id", "admission_id", "comorbidities", "gender", "age_group",
-    "ethnicity", "scheme_type", "los_days", "medication_categories",
-    "n_prev_admissions", "n_prev_ed_admissions", "admitting_diagnosis",
-    "n_prev_hospital_visits", "procedure_categories", "readmitted_within_30d",
-]
+# A count family is one numeric column named after its field. A one-of
+# family holds one of its levels and a set family any subset of them; each
+# level is an indicator column named by ``column_name``.
+COUNT, ONE_OF, SET = "count", "one-of", "set"
+
+
+def column_name(prefix: str, level) -> str:
+    """Runs of characters other than ASCII letters and digits become ``_``."""
+    return prefix + re.sub(r"[^0-9A-Za-z]+", "_", str(level)).strip("_")
+
+
+def _decimal(text: str) -> int:
+    if not text.isdecimal():
+        raise ValueError(f"{text!r} is not a decimal number")
+    return int(text)
+
+
+class Family(NamedTuple):
+    field: str                      # AdmissionFeatures field and features.csv column
+    kind: str
+    prefix: str = ""                # design-matrix prefix of a one-of or set family
+    levels: tuple | Callable[[CodeMappingConfig], tuple] = ()   # or from the code maps
+    read: Callable[[str], object] = str   # a count, or one level, from its text
+
+    def domain(self, config: CodeMappingConfig) -> tuple:
+        return self.levels(config) if callable(self.levels) else self.levels
+
+    def columns(self, config: CodeMappingConfig) -> list[str]:
+        if self.kind == COUNT:
+            return [self.field]
+        return [column_name(self.prefix, level) for level in self.domain(config)]
+
+    def parse(self, cell: str):
+        try:
+            if self.kind == SET:
+                return frozenset(map(self.read, filter(None, cell.split(";"))))
+            return self.read(cell)
+        except ValueError as exc:
+            raise ValueError(f"{self.field}: {exc}") from None
+
+
+# In AdmissionFeatures field order, which is also the design-matrix column order.
+FAMILIES: tuple[Family, ...] = (
+    Family("comorbidities", SET, "comorb_", COMORBIDITY_NAMES),
+    Family("gender", ONE_OF, "gender_", GENDERS),
+    Family("age_group", ONE_OF, "age_", AGE_GROUP_NAMES),
+    Family("ethnicity", ONE_OF, "ethnicity_", ETHNICITIES),
+    Family("scheme_type", ONE_OF, "scheme_", SCHEME_TYPES),
+    Family("los_days", COUNT, read=_decimal),
+    Family("medication_categories", SET, "med_", MEDICATION_CATEGORIES),
+    Family("n_prev_admissions", COUNT, read=_decimal),
+    Family("n_prev_ed_admissions", COUNT, read=_decimal),
+    Family("admitting_diagnosis", ONE_OF, "admitdx_", ADMITTING_DIAGNOSIS_LEVELS),
+    Family("n_prev_hospital_visits", COUNT, read=_decimal),
+    Family("procedure_categories", SET, "proc_", CodeMappingConfig.ccs_ids, _decimal),
+)
+
+FEATURES_COLUMNS = ["user_id", "admission_id", *(f.field for f in FAMILIES), "readmitted_within_30d"]
 
 
 @dataclass(frozen=True)
@@ -148,35 +209,6 @@ def extract_procedures(admission: LabeledAdmission, config: CodeMappingConfig) -
     return frozenset(found)
 
 
-def extract_all(
-    admission: LabeledAdmission,
-    user_admissions: list[LabeledAdmission],
-    user_medical_claims: list[MedicalClaim],
-    user_pharmacy_claims: list[PharmacyClaim],
-    demographic: DemographicRecord,
-    config: CodeMappingConfig,
-) -> AdmissionFeatures:
-    return AdmissionFeatures(
-        user_id=admission.user_id,
-        admission_id=admission.admission_id,
-        comorbidities=extract_comorbidities(admission, config),
-        gender=demographic.gender,
-        age_group=age_group(demographic.age),
-        ethnicity=demographic.ethnicity,
-        scheme_type=demographic.scheme_type,
-        los_days=length_of_stay(admission),
-        medication_categories=extract_medications(admission, user_pharmacy_claims),
-        n_prev_admissions=count_previous_admissions(admission, user_admissions),
-        n_prev_ed_admissions=count_previous_ed_admissions(admission, user_admissions),
-        admitting_diagnosis=admitting_diagnosis(admission),
-        n_prev_hospital_visits=count_previous_hospital_visits(
-            admission, user_medical_claims, config
-        ),
-        procedure_categories=extract_procedures(admission, config),
-        readmitted_within_30d=admission.readmitted_within_30d,
-    )
-
-
 def extract_features(
     labeled: list[LabeledAdmission],
     medical_claims: list[MedicalClaim],
@@ -201,63 +233,56 @@ def extract_features(
         demo = demo_by_user.get(a.user_id)
         if demo is None:
             raise ReadmitError(f"no demographics row for user {a.user_id!r}")
-        out.append(extract_all(
-            a,
-            admissions_by_user[a.user_id],
-            medical_by_user.get(a.user_id, []),
-            pharmacy_by_user.get(a.user_id, []),
-            demo,
-            config,
+        out.append(AdmissionFeatures(
+            user_id=a.user_id,
+            admission_id=a.admission_id,
+            comorbidities=extract_comorbidities(a, config),
+            gender=demo.gender,
+            age_group=age_group(demo.age),
+            ethnicity=demo.ethnicity,
+            scheme_type=demo.scheme_type,
+            los_days=length_of_stay(a),
+            medication_categories=extract_medications(a, pharmacy_by_user.get(a.user_id, [])),
+            n_prev_admissions=count_previous_admissions(a, admissions_by_user[a.user_id]),
+            n_prev_ed_admissions=count_previous_ed_admissions(a, admissions_by_user[a.user_id]),
+            admitting_diagnosis=admitting_diagnosis(a),
+            n_prev_hospital_visits=count_previous_hospital_visits(
+                a, medical_by_user.get(a.user_id, []), config
+            ),
+            procedure_categories=extract_procedures(a, config),
+            readmitted_within_30d=a.readmitted_within_30d,
         ))
     return out
 
 
+def _label(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"readmitted_within_30d: {cell!r} is neither true nor false")
+    return cell == "true"
+
+
 def write_features_csv(features: list[AdmissionFeatures], dest):
-    write_csv(dest, FEATURES_COLUMNS, (
-        [f.user_id, f.admission_id,
-         ";".join(sorted(f.comorbidities)),
-         f.gender, f.age_group, f.ethnicity, f.scheme_type,
-         str(f.los_days),
-         ";".join(sorted(f.medication_categories)),
-         str(f.n_prev_admissions), str(f.n_prev_ed_admissions),
-         f.admitting_diagnosis,
-         str(f.n_prev_hospital_visits),
-         ";".join(str(i) for i in sorted(f.procedure_categories)),
-         str(f.readmitted_within_30d).lower()]
-        for f in features
-    ))
+    """One row per admission; the csv module writes the counts in decimal."""
+    values = attrgetter(*FEATURES_COLUMNS[:-1])
+    sets = [FEATURES_COLUMNS.index(family.field) for family in FAMILIES if family.kind == SET]
+
+    def row(f: AdmissionFeatures) -> list:
+        cells = [*values(f), "true" if f.readmitted_within_30d else "false"]
+        for j in sets:
+            # ascending order of the levels' values, so procedure ids sort as numbers
+            cells[j] = ";".join(map(str, sorted(cells[j])))
+        return cells
+
+    write_csv(dest, FEATURES_COLUMNS, map(row, features))
+
+
+def _features_row(cells: dict[str, str]) -> AdmissionFeatures:
+    return AdmissionFeatures(cells["user_id"], cells["admission_id"],
+                             *[family.parse(cells[family.field]) for family in FAMILIES],
+                             _label(cells["readmitted_within_30d"]))
 
 
 def read_features_csv(source) -> list[AdmissionFeatures]:
-    with text_stream(source, "r") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FEATURES_COLUMNS:
-            raise ReadmitError(f"bad features.csv header: {header}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            rec = dict(zip(FEATURES_COLUMNS, row))
-            out.append(AdmissionFeatures(
-                user_id=rec["user_id"],
-                admission_id=rec["admission_id"],
-                comorbidities=frozenset(x for x in rec["comorbidities"].split(";") if x),
-                gender=rec["gender"],
-                age_group=rec["age_group"],
-                ethnicity=rec["ethnicity"],
-                scheme_type=rec["scheme_type"],
-                los_days=int(rec["los_days"]),
-                medication_categories=frozenset(
-                    x for x in rec["medication_categories"].split(";") if x
-                ),
-                n_prev_admissions=int(rec["n_prev_admissions"]),
-                n_prev_ed_admissions=int(rec["n_prev_ed_admissions"]),
-                admitting_diagnosis=rec["admitting_diagnosis"],
-                n_prev_hospital_visits=int(rec["n_prev_hospital_visits"]),
-                procedure_categories=frozenset(
-                    int(x) for x in rec["procedure_categories"].split(";") if x
-                ),
-                readmitted_within_30d=rec["readmitted_within_30d"] == "true",
-            ))
-        return out
+    """A bad header, a row of the wrong width or a cell its column cannot
+    read raises ParseError with the line; the encoder checks the levels."""
+    return parse_table(source, FEATURES_COLUMNS, _features_row, strict=True).records

@@ -428,10 +428,16 @@ def train_models(cfg: RunConfig, matrix, train, folds):
 
 
 def _build_matrix(cfg: RunConfig, features_path: Path):
-    features = read_features_csv(_require(features_path, "features file"))
-    if not features:
-        raise ReadmitError(f"{features_path} holds no admissions")
-    return one_hot_encode(features, _load_mappings(cfg))
+    """The encoded features file; a malformed file, or a level outside the
+    code maps, raises ParseError naming the file."""
+    mappings = _load_mappings(cfg)
+    try:
+        features = read_features_csv(_require(features_path, "features file"))
+        if not features:
+            raise ReadmitError(f"{features_path} holds no admissions")
+        return one_hot_encode(features, mappings)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"{features_path}: {exc}") from None
 
 
 def _check_class_balance(train, test, folds):

@@ -7,6 +7,7 @@ from readmit.claims import (
     parse_demographics, parse_medical_claims, parse_pharmacy_claims,
 )
 from readmit.codes import load_code_mappings
+from readmit.features import AdmissionFeatures
 from readmit.models import ModelBundle, save_bundle
 
 settings.register_profile(
@@ -39,6 +40,31 @@ WORKED_DEMOGRAPHICS = """user_id,gender,age,ethnicity,scheme_type
 User1,M,25,Asian,Large Central Metro
 User2,F,35,White,Medium Metro
 """
+
+# Hand-built feature rows whose features.csv and matrix.csv bytes are pinned:
+# several comorbidities and medications, procedure ids that sort differently
+# as numbers and as text, an admitting diagnosis with a comma, both labels.
+PINNED_FEATURES = [
+    AdmissionFeatures(
+        user_id="U1", admission_id="A1",
+        comorbidities=frozenset({"Renal", "CHF", "DMcx"}), gender="F",
+        age_group="Boomers", ethnicity="Hispanic", scheme_type="Micropolitan",
+        los_days=12, medication_categories=frozenset({"50", "07", "00"}),
+        n_prev_admissions=3, n_prev_ed_admissions=1,
+        admitting_diagnosis="Endocrine, nutritional, metabolic, immunity disorders",
+        n_prev_hospital_visits=4, procedure_categories=frozenset({152, 3, 44}),
+        readmitted_within_30d=True,
+    ),
+    AdmissionFeatures(
+        user_id="U2", admission_id="A2",
+        comorbidities=frozenset(), gender="M",
+        age_group="Touch", ethnicity="Black", scheme_type="LargeCentralMetro",
+        los_days=1, medication_categories=frozenset({"99"}),
+        n_prev_admissions=0, n_prev_ed_admissions=0,
+        admitting_diagnosis="Others", n_prev_hospital_visits=0,
+        procedure_categories=frozenset(), readmitted_within_30d=False,
+    ),
+]
 
 
 def rf_model_text(model) -> str:

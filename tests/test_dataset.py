@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +10,11 @@ from readmit.claims import ETHNICITIES, GENDERS, SCHEME_TYPES
 from readmit.codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES
 from readmit.dataset import (
     FeatureMatrix, SplitSpec, decode_features, feature_columns, one_hot_encode,
-    stratified_kfold, train_test_split,
+    stratified_kfold, train_test_split, write_matrix_csv,
 )
 from readmit.features import AGE_GROUP_NAMES, MEDICATION_CATEGORIES, AdmissionFeatures
+
+from conftest import PINNED_FEATURES
 
 
 @st.composite
@@ -89,6 +94,15 @@ def test_encode_out_of_domain_rejected(mappings):
     )
     with pytest.raises(ValueError):
         one_hot_encode([f], mappings)
+
+
+def test_matrix_csv_bytes_are_pinned(mappings):
+    matrix = one_hot_encode(PINNED_FEATURES, mappings)
+    buffer = io.StringIO()
+    write_matrix_csv(matrix, buffer)
+    assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == (
+        "8bca984eeebd7f2ecd5130f23f6d34064c2c8e9d4af7b57efba1665484990f6b")
+    assert decode_features(matrix, mappings) == PINNED_FEATURES
 
 
 @given(st.data())

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import io
 from datetime import date
 
 import pytest
@@ -7,11 +10,13 @@ from hypothesis import strategies as st
 from readmit.claims import MedicalClaim, PharmacyClaim
 from readmit.episodes import LabeledAdmission, build_labeled_admissions
 from readmit.features import (
-    admitting_diagnosis, age_group, count_previous_admissions,
-    count_previous_ed_admissions, count_previous_hospital_visits,
+    FAMILIES, FEATURES_COLUMNS, AdmissionFeatures, admitting_diagnosis, age_group,
+    count_previous_admissions, count_previous_ed_admissions, count_previous_hospital_visits,
     extract_comorbidities, extract_features, extract_medications,
     extract_procedures, length_of_stay, read_features_csv, write_features_csv,
 )
+
+from conftest import PINNED_FEATURES
 
 
 def claim(cid, start, end, cpt="99231", user="U1", primary="4280", others=()):
@@ -250,3 +255,21 @@ def test_features_csv_round_trip(worked_example, mappings, tmp_path):
     path = tmp_path / "features.csv"
     write_features_csv(feats, path)
     assert read_features_csv(path) == feats
+
+
+def test_schema_is_the_family_table():
+    assert FEATURES_COLUMNS == [
+        "user_id", "admission_id", *(family.field for family in FAMILIES),
+        "readmitted_within_30d",
+    ]
+    assert FEATURES_COLUMNS == [f.name for f in dataclasses.fields(AdmissionFeatures)]
+
+
+def test_features_csv_bytes_are_pinned():
+    buffer = io.StringIO()
+    write_features_csv(PINNED_FEATURES, buffer)
+    text = buffer.getvalue()
+    assert '3;44;152' in text and '"Endocrine, nutritional, metabolic, immunity disorders"' in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "fa1c97609fc5d3710ac4011a437a7ec6ff936f8713df04069b83ffa9713ad70e")
+    assert read_features_csv(io.StringIO(text)) == PINNED_FEATURES

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from readmit.cli import main
 from readmit.dataset import one_hot_encode, stratified_kfold, train_test_split
 from readmit.errors import ConfigError, ParseError
+from readmit.features import read_features_csv
 from readmit.models import LogisticModel, RandomForestModel, fit_logistic, fit_pca
 from readmit.models.forest import Tree
 from readmit.models.persist import ModelBundle, load_bundle, save_bundle
@@ -33,6 +34,17 @@ SMALL_CONFIG = {
     "svm_c_grid": [0.01, 0.1],
     "lr_max_iter": 150,
 }
+
+
+# A features.csv the reader and encoder accept; the malformed-file cases
+# below each change one line of it.
+GOOD_FEATURES_LINES = [
+    "user_id,admission_id,comorbidities,gender,age_group,ethnicity,scheme_type,los_days,"
+    "medication_categories,n_prev_admissions,n_prev_ed_admissions,admitting_diagnosis,"
+    "n_prev_hospital_visits,procedure_categories,readmitted_within_30d",
+    *(f"U{i},A{i},CHF,M,Touch,White,Noncore,1,00,0,0,Others,0,3;44,"
+      f"{'true' if i % 3 == 0 else 'false'}" for i in range(12)),
+]
 
 
 def _rf_grid(**change) -> dict:
@@ -240,6 +252,36 @@ class TestCliExitCodes:
         )
         assert main(["train", "--config", str(config_path),
                      "--features", str(features), "--out", str(tmp_path / "o")]) == 5
+
+    @pytest.mark.parametrize("line, text, fragment", [
+        pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,1,00,0", "line 4: expected 15 fields",
+                     id="ten-fields"),
+        pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,1,00,0,0,Others,0,3;44,false,x",
+                     "line 4: expected 15 fields", id="extra-field"),
+        pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,x,00,0,0,Others,0,3;44,false",
+                     "line 4: los_days", id="los_days-x"),
+        pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,1,00,0,0,Others,0,3;44,yes",
+                     "line 4: readmitted_within_30d", id="label-yes"),
+        pytest.param(4, "U2,A2,CHF,X,Touch,White,Noncore,1,00,0,0,Others,0,3;44,false",
+                     "admission U2/A2: gender", id="gender-X"),
+        pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,1,00,0,0,Others,0,3;999,false",
+                     "admission U2/A2: procedure_categories value 999", id="unknown-ccs"),
+        pytest.param(1, "user_id,admission_id,gender", "line 1: bad header", id="wrong-header"),
+    ])
+    def test_malformed_features_exit_4(self, tmp_path, capsys, line, text, fragment):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(SMALL_CONFIG))
+        features = tmp_path / "features.csv"
+        assert len(read_features_csv(io.StringIO("\n".join(GOOD_FEATURES_LINES)))) == 12
+        lines = list(GOOD_FEATURES_LINES)
+        lines[line - 1] = text
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(config_path), "--features", str(features),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"{features}: {fragment}" in err and "Traceback" not in err
+        assert not (out / "models").exists()
 
     def test_unknown_config_key_exit_5(self, tmp_path):
         config_path = tmp_path / "c.json"
