@@ -3,6 +3,10 @@
 All parsers are deterministic and order-preserving. In strict mode (the
 default) the first bad row raises :class:`ParseError`; in lenient mode bad
 rows are skipped and reported in ``ParseResult.errors``.
+
+A row costs the csv module, the checks and its frozen, slotted record's init.
+Repeated dates, users and codes are checked once per distinct text, in a
+``Memo`` that lives for one ``parse_*`` call, never in a process-wide cache.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
-from .codes import normalize_icd9
+from .codes import Memo, normalize_icd9
 from .errors import ParseError
 from .textio import text_stream, write_csv
 
@@ -24,6 +30,8 @@ SCHEME_TYPES = (
     "LargeCentralMetro", "LargeFringeMetro", "MediumMetro",
     "SmallMetro", "Micropolitan", "Noncore",
 )
+_ETHNICITY = {e.lower(): e for e in ETHNICITIES}
+_SCHEME = {s.lower(): s for s in SCHEME_TYPES}
 
 MEDICAL_COLUMNS = [
     "user_id", "claim_id", "service_start", "service_end",
@@ -35,7 +43,7 @@ DEMOGRAPHICS_COLUMNS = ["user_id", "gender", "age", "ethnicity", "scheme_type"]
 NO_DIAGNOSIS_SENTINEL = "00000"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MedicalClaim:
     user_id: str
     claim_id: str
@@ -46,7 +54,7 @@ class MedicalClaim:
     cpt_code: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PharmacyClaim:
     user_id: str
     claim_id: str
@@ -54,7 +62,7 @@ class PharmacyClaim:
     ndc_code: str                       # exactly 10 digits, zero-padded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemographicRecord:
     user_id: str
     gender: str
@@ -63,7 +71,7 @@ class DemographicRecord:
     scheme_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowError:
     line: int
     message: str
@@ -112,7 +120,17 @@ def _required(value: str, what: str) -> str:
     return value
 
 
+def group_by_user(records) -> dict[str, list]:
+    """``records`` grouped by ``user_id``, each group in input order."""
+    groups: dict[str, list] = {}
+    for record in records:
+        groups.setdefault(record.user_id, []).append(record)
+    return groups
+
+
 def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
+    """``row_parser`` gets each non-blank row's cells as a tuple in
+    ``columns`` order. Errors name the record's first physical line."""
     with _text_input(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -125,14 +143,17 @@ def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
             raise ParseError(
                 f"bad header: missing columns {missing}, unexpected {extra}", line=1
             )
+        cells = itemgetter(*(index[c] for c in columns))
         records, errors = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if not "".join(row).strip():
                 continue
             try:
                 if len(row) != len(columns):
                     raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-                record = row_parser({c: row[index[c]] for c in columns})
+                record = row_parser(cells(row))
                 if hook is not None:
                     hook(record)
             except ValueError as exc:
@@ -144,73 +165,66 @@ def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
         return ParseResult(records, errors)
 
 
-def _medical_row(fields: dict[str, str]) -> MedicalClaim:
-    start = _parse_date(fields["service_start"], "service_start")
-    end = _parse_date(fields["service_end"], "service_end")
-    if start > end:
-        raise ValueError(f"service_start {start} after service_end {end}")
-    others = []
-    for part in fields["other_diagnoses"].split(";"):
-        code = normalize_icd9(part)
-        if code and code != NO_DIAGNOSIS_SENTINEL:
-            others.append(code)
-    cpt = fields["cpt_code"].strip().upper()
+def _cpt_code(text: str) -> str:
+    cpt = text.strip().upper()
     if len(cpt) != 5 or not cpt.isalnum():
-        raise ValueError(f"bad CPT code {fields['cpt_code'].strip()!r} (expected 5 characters)")
-    return MedicalClaim(
-        user_id=_required(fields["user_id"], "user_id"),
-        claim_id=_required(fields["claim_id"], "claim_id"),
-        service_start=start,
-        service_end=end,
-        primary_diagnosis=normalize_icd9(_required(fields["primary_diagnosis"], "primary_diagnosis")),
-        other_diagnoses=tuple(others),
-        cpt_code=cpt,
-    )
+        raise ValueError(f"bad CPT code {text.strip()!r} (expected 5 characters)")
+    return cpt
 
 
-def _pharmacy_row(fields: dict[str, str]) -> PharmacyClaim:
-    ndc = fields["ndc_code"].strip()
+def _medical_row():
+    """A row parser memoising all but claim ids and primary codes (rarely repeated)."""
+    starts = Memo(partial(_parse_date, what="service_start"))
+    ends = Memo(partial(_parse_date, what="service_end"))
+    users, cpts = Memo(partial(_required, what="user_id")), Memo(_cpt_code)
+    others = Memo(lambda text: tuple(code for code in map(normalize_icd9, text.split(";"))
+                                     if code and code != NO_DIAGNOSIS_SENTINEL))
+
+    def parse(cells) -> MedicalClaim:
+        user_id, claim_id, start, end, primary, other_diagnoses, cpt = cells
+        start, end = starts[start], ends[end]
+        if start > end:
+            raise ValueError(f"service_start {start} after service_end {end}")
+        other_diagnoses, cpt = others[other_diagnoses], cpts[cpt]
+        return MedicalClaim(users[user_id], _required(claim_id, "claim_id"), start, end,
+                            normalize_icd9(_required(primary, "primary_diagnosis")),
+                            other_diagnoses, cpt)
+    return parse
+
+
+def _pharmacy_row(cells) -> PharmacyClaim:
+    user_id, claim_id, service_date, ndc = cells
+    ndc = ndc.strip()
     if not ndc.isdigit():
         raise ValueError(f"NDC code {ndc!r} is not numeric")
     if len(ndc) > 10:
         raise ValueError(f"NDC code {ndc!r} longer than 10 digits")
-    return PharmacyClaim(
-        user_id=_required(fields["user_id"], "user_id"),
-        claim_id=_required(fields["claim_id"], "claim_id"),
-        service_date=_parse_date(fields["service_date"], "service"),
-        ndc_code=ndc.zfill(10),
-    )
+    return PharmacyClaim(_required(user_id, "user_id"), _required(claim_id, "claim_id"),
+                         _parse_date(service_date, "service"), ndc.zfill(10))
 
 
-def _demographic_row(fields: dict[str, str]) -> DemographicRecord:
-    gender = fields["gender"].strip().upper()
+def _demographic_row(cells) -> DemographicRecord:
+    user_id, gender_text, age_text, ethnicity_text, scheme_text = cells
+    gender = gender_text.strip().upper()
     if gender not in GENDERS:
-        raise ValueError(f"gender {fields['gender'].strip()!r} not in {GENDERS}")
+        raise ValueError(f"gender {gender_text.strip()!r} not in {GENDERS}")
     try:
-        age = int(fields["age"].strip())
+        age = int(age_text.strip())
     except ValueError:
-        raise ValueError(f"age {fields['age'].strip()!r} is not an integer")
+        raise ValueError(f"age {age_text.strip()!r} is not an integer")
     if age < 0:
         raise ValueError(f"negative age {age}")
-    eth_raw = fields["ethnicity"].strip()
-    ethnicity = next((e for e in ETHNICITIES if e.lower() == eth_raw.lower()), None)
+    ethnicity = _ETHNICITY.get(ethnicity_text.strip().lower())
     if ethnicity is None:
-        raise ValueError(f"ethnicity {eth_raw!r} not in {ETHNICITIES}")
-    scheme_raw = fields["scheme_type"].strip().replace(" ", "").lower()
-    scheme = next((s for s in SCHEME_TYPES if s.lower() == scheme_raw), None)
+        raise ValueError(f"ethnicity {ethnicity_text.strip()!r} not in {ETHNICITIES}")
+    scheme = _SCHEME.get(scheme_text.strip().replace(" ", "").lower())
     if scheme is None:
-        raise ValueError(f"scheme_type {fields['scheme_type'].strip()!r} not in {SCHEME_TYPES}")
-    return DemographicRecord(
-        user_id=_required(fields["user_id"], "user_id"),
-        gender=gender,
-        age=age,
-        ethnicity=ethnicity,
-        scheme_type=scheme,
-    )
+        raise ValueError(f"scheme_type {scheme_text.strip()!r} not in {SCHEME_TYPES}")
+    return DemographicRecord(_required(user_id, "user_id"), gender, age, ethnicity, scheme)
 
 
 def parse_medical_claims(source, strict: bool = True) -> ParseResult:
-    return parse_table(source, MEDICAL_COLUMNS, _medical_row, strict)
+    return parse_table(source, MEDICAL_COLUMNS, _medical_row(), strict)
 
 
 def parse_pharmacy_claims(source, strict: bool = True) -> ParseResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import ClassVar
@@ -64,6 +64,17 @@ OTHER_DIAGNOSIS = "Others"
 ADMITTING_DIAGNOSIS_LEVELS: tuple[str, ...] = tuple(
     name for _, _, name in ICD9_CHAPTERS
 ) + (VCODE_CHAPTER, OTHER_DIAGNOSIS)
+
+
+class Memo(dict):
+    """``fn(key)`` per distinct key, kept as long as the memo is; raising keys are not."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def normalize_icd9(code: str) -> str:
@@ -150,6 +161,14 @@ class CodeMappingConfig:
 
     def is_hospital_visit(self, cpt: str) -> bool:
         return cpt_in_ranges(cpt, self.hospital_visit_cpt)
+
+    def memoized(self) -> "CodeMappingConfig":
+        """A copy that answers each per-code lookup once per distinct code."""
+        copy = replace(self)
+        for name in ("comorbidities_for", "ccs_category",
+                     "is_inpatient", "is_ed", "is_hospital_visit"):
+            object.__setattr__(copy, name, Memo(getattr(self, name)).__getitem__)
+        return copy
 
 
 def _default_path(name: str) -> Path:

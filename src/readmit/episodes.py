@@ -7,14 +7,19 @@ A later admission starting within ``window_days`` of the last retained
 admission's discharge is removed as a readmission and flips that retained
 admission's label to true; comparisons are always against the last retained
 admission, never against a removed one.
+
+A claim costs its share of two sorts, the gap test and the record inits.
+Inpatient and ED tests run once per distinct CPT code, in a memoised copy of
+the code maps made per ``build_labeled_admissions`` call, not a process-wide cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 
-from .claims import MedicalClaim
+from .claims import MedicalClaim, group_by_user
 from .codes import CodeMappingConfig
 from .errors import ReadmitError
 from .textio import write_csv
@@ -25,7 +30,7 @@ ADMISSIONS_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Episode:
     user_id: str
     episode_id: str                       # "E1", "E2", ... per user, chronological
@@ -38,7 +43,7 @@ class Episode:
         return tuple(c.claim_id for c in self.member_claims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledAdmission:
     user_id: str
     admission_id: str                     # "A1", "A2", ... global, (user_id, start) order
@@ -66,29 +71,24 @@ def group_claims_into_episodes(claims: list[MedicalClaim], gap_days: int = 10) -
     users = {c.user_id for c in claims}
     if len(users) > 1:
         raise ValueError(f"claims span multiple users: {sorted(users)}")
-    ordered = sorted(claims, key=lambda c: (c.service_start, c.service_end, c.claim_id))
+    ordered = sorted(claims, key=attrgetter("service_start", "service_end", "claim_id"))
     episodes: list[Episode] = []
     group: list[MedicalClaim] = [ordered[0]]
     running_end = ordered[0].service_end
 
-    def close(group):
-        episodes.append(Episode(
-            user_id=group[0].user_id,
-            episode_id=f"E{len(episodes) + 1}",
-            start=min(c.service_start for c in group),
-            end=max(c.service_end for c in group),
-            member_claims=tuple(group),
-        ))
+    def close(group, end):   # the first claim starts earliest; end is the running end
+        episodes.append(Episode(group[0].user_id, f"E{len(episodes) + 1}",
+                                group[0].service_start, end, tuple(group)))
 
     for claim in ordered[1:]:
         if (claim.service_start - running_end).days < gap_days:
             group.append(claim)
             running_end = max(running_end, claim.service_end)
         else:
-            close(group)
+            close(group, running_end)
             group = [claim]
             running_end = claim.service_end
-    close(group)
+    close(group, running_end)
     return episodes
 
 
@@ -105,14 +105,15 @@ def label_readmissions(
     admissions: list[Episode],
     config: CodeMappingConfig,
     window_days: int = 30,
+    first_id: int = 1,
 ) -> tuple[list[LabeledAdmission], list[Episode]]:
     """Sweep one user's admissions chronologically, splitting them into
     retained index admissions (labeled) and removed readmissions.
 
-    Returns (labeled admissions, removed episodes). ``admission_id`` is left
-    empty here; :func:`build_labeled_admissions` assigns global ids.
+    Returns (labeled admissions, removed episodes); the labeled ones are
+    numbered ``A{first_id}``, ... in chronological order.
     """
-    ordered = sorted(admissions, key=lambda e: (e.start, e.end, e.episode_id))
+    ordered = sorted(admissions, key=attrgetter("start", "end", "episode_id"))
     retained: list[Episode] = []
     removed: list[Episode] = []
     removed_against: dict[str, list[str]] = {}
@@ -125,7 +126,7 @@ def label_readmissions(
     labeled = [
         LabeledAdmission(
             user_id=e.user_id,
-            admission_id="",
+            admission_id=f"A{first_id + i}",
             episode_id=e.episode_id,
             start=e.start,
             end=e.end,
@@ -134,7 +135,7 @@ def label_readmissions(
             readmitted_within_30d=e.episode_id in removed_against,
             removed_readmission_ids=tuple(removed_against.get(e.episode_id, ())),
         )
-        for e in retained
+        for i, e in enumerate(retained)
     ]
     return labeled, removed
 
@@ -146,20 +147,18 @@ def build_labeled_admissions(
     window_days: int = 30,
 ) -> tuple[list[LabeledAdmission], list[Episode]]:
     """Full chain over all users: group, filter, label, and assign global
-    admission ids in (user_id, start) order."""
-    by_user: dict[str, list[MedicalClaim]] = {}
-    for claim in claims:
-        by_user.setdefault(claim.user_id, []).append(claim)
+    admission ids in (user_id, start) order, the order users are swept in."""
+    config = config.memoized()
+    by_user = group_by_user(claims)
     labeled: list[LabeledAdmission] = []
     removed: list[Episode] = []
     for user_id in sorted(by_user):
         episodes = group_claims_into_episodes(by_user[user_id], gap_days)
         admissions = filter_admissions(episodes, config)
-        user_labeled, user_removed = label_readmissions(admissions, config, window_days)
+        user_labeled, user_removed = label_readmissions(
+            admissions, config, window_days, first_id=len(labeled) + 1)
         labeled.extend(user_labeled)
         removed.extend(user_removed)
-    labeled.sort(key=lambda a: (a.user_id, a.start, a.end))
-    labeled = [replace(a, admission_id=f"A{i + 1}") for i, a in enumerate(labeled)]
     return labeled, removed
 
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES, parse_table
+from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES, group_by_user, parse_table
 from .claims import DemographicRecord, MedicalClaim, PharmacyClaim
-from .codes import (
-    ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, OTHER_DIAGNOSIS, CodeMappingConfig, icd9_chapter,
-)
+from .codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, OTHER_DIAGNOSIS, icd9_chapter
+from .codes import CodeMappingConfig, Memo
 from .episodes import LabeledAdmission
 from .errors import ReadmitError
 from .textio import write_csv
@@ -103,7 +102,7 @@ FAMILIES: tuple[Family, ...] = (
 FEATURES_COLUMNS = ["user_id", "admission_id", *(f.field for f in FAMILIES), "readmitted_within_30d"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionFeatures:
     user_id: str
     admission_id: str
@@ -125,11 +124,8 @@ class AdmissionFeatures:
 def extract_comorbidities(admission: LabeledAdmission, config: CodeMappingConfig) -> frozenset[str]:
     """Union of longest-prefix matches over the member claims' other
     diagnosis codes. Primary diagnosis codes are not consulted."""
-    found: set[str] = set()
-    for claim in admission.member_claims:
-        for code in claim.other_diagnoses:
-            found.update(config.comorbidities_for(code))
-    return frozenset(found)
+    return frozenset(name for claim in admission.member_claims
+                     for code in claim.other_diagnoses for name in config.comorbidities_for(code))
 
 
 def age_group(age: int) -> str:
@@ -151,11 +147,8 @@ def extract_medications(
 ) -> frozenset[str]:
     """Two-digit drug categories (leading NDC digits) of pharmacy claims
     dated inside the admission window."""
-    return frozenset(
-        p.ndc_code[:2]
-        for p in pharmacy_claims
-        if admission.start <= p.service_date <= admission.end
-    )
+    return frozenset(p.ndc_code[:2] for p in pharmacy_claims
+                     if admission.start <= p.service_date <= admission.end)
 
 
 def count_previous_admissions(
@@ -169,9 +162,7 @@ def count_previous_admissions(
 def count_previous_ed_admissions(
     admission: LabeledAdmission, user_admissions: list[LabeledAdmission]
 ) -> int:
-    return sum(
-        1 for a in user_admissions if a.is_ed_admission and a.start < admission.start
-    )
+    return sum(1 for a in user_admissions if a.is_ed_admission and a.start < admission.start)
 
 
 def admitting_diagnosis(admission: LabeledAdmission) -> str:
@@ -191,22 +182,14 @@ def count_previous_hospital_visits(
 ) -> int:
     """Individual hospital-visit claims (not episodes) ending strictly
     before the admission start."""
-    return sum(
-        1
-        for c in user_medical_claims
-        if config.is_hospital_visit(c.cpt_code) and c.service_end < admission.start
-    )
+    return sum(1 for c in user_medical_claims
+               if config.is_hospital_visit(c.cpt_code) and c.service_end < admission.start)
 
 
 def extract_procedures(admission: LabeledAdmission, config: CodeMappingConfig) -> frozenset[int]:
     """CCS categories of member-claim CPTs; unmapped codes (including E&M
     codes) contribute nothing."""
-    found: set[int] = set()
-    for claim in admission.member_claims:
-        ccs = config.ccs_category(claim.cpt_code)
-        if ccs is not None:
-            found.add(ccs)
-    return frozenset(found)
+    return frozenset(config.ccs_category(c.cpt_code) for c in admission.member_claims) - {None}
 
 
 def extract_features(
@@ -216,17 +199,12 @@ def extract_features(
     demographics: list[DemographicRecord],
     config: CodeMappingConfig,
 ) -> list[AdmissionFeatures]:
-    """Features for every retained admission, in input order."""
+    """Features for every retained admission, in input order; code lookups are memoised."""
+    config = config.memoized()
     demo_by_user = {d.user_id: d for d in demographics}
-    medical_by_user: dict[str, list[MedicalClaim]] = {}
-    for c in medical_claims:
-        medical_by_user.setdefault(c.user_id, []).append(c)
-    pharmacy_by_user: dict[str, list[PharmacyClaim]] = {}
-    for p in pharmacy_claims:
-        pharmacy_by_user.setdefault(p.user_id, []).append(p)
-    admissions_by_user: dict[str, list[LabeledAdmission]] = {}
-    for a in labeled:
-        admissions_by_user.setdefault(a.user_id, []).append(a)
+    visits_by_user = group_by_user(
+        c for c in medical_claims if config.is_hospital_visit(c.cpt_code))
+    pharmacy_by_user, admissions_by_user = group_by_user(pharmacy_claims), group_by_user(labeled)
 
     out = []
     for a in labeled:
@@ -247,8 +225,7 @@ def extract_features(
             n_prev_ed_admissions=count_previous_ed_admissions(a, admissions_by_user[a.user_id]),
             admitting_diagnosis=admitting_diagnosis(a),
             n_prev_hospital_visits=count_previous_hospital_visits(
-                a, medical_by_user.get(a.user_id, []), config
-            ),
+                a, visits_by_user.get(a.user_id, []), config),
             procedure_categories=extract_procedures(a, config),
             readmitted_within_30d=a.readmitted_within_30d,
         ))
@@ -276,13 +253,18 @@ def write_features_csv(features: list[AdmissionFeatures], dest):
     write_csv(dest, FEATURES_COLUMNS, map(row, features))
 
 
-def _features_row(cells: dict[str, str]) -> AdmissionFeatures:
-    return AdmissionFeatures(cells["user_id"], cells["admission_id"],
-                             *[family.parse(cells[family.field]) for family in FAMILIES],
-                             _label(cells["readmitted_within_30d"]))
+def _features_row():
+    families = [Memo(family.parse) for family in FAMILIES]   # cells repeat down a column
+
+    def parse(cells) -> AdmissionFeatures:
+        user_id, admission_id, *values, label = cells
+        return AdmissionFeatures(user_id, admission_id,
+                                 *[memo[cell] for memo, cell in zip(families, values)],
+                                 _label(label))
+    return parse
 
 
 def read_features_csv(source) -> list[AdmissionFeatures]:
     """A bad header, a row of the wrong width or a cell its column cannot
     read raises ParseError with the line; the encoder checks the levels."""
-    return parse_table(source, FEATURES_COLUMNS, _features_row, strict=True).records
+    return parse_table(source, FEATURES_COLUMNS, _features_row(), strict=True).records

@@ -467,9 +467,10 @@ def _write_split_manifest(cfg: RunConfig, train, test, dest: Path):
                     encoding="utf-8")
 
 
-def _read_split_manifest(matrix, path: Path):
+def _read_split_manifest(cfg: RunConfig, matrix, path: Path):
     """The train and test rows of ``matrix`` that the split manifest at
-    ``path`` lists, each side in the manifest's order."""
+    ``path`` lists, each side in the manifest's order; stderr names each
+    split setting of ``cfg`` that differs from the manifest's."""
     try:
         manifest = json.loads(_require(path, "split manifest").read_text(encoding="utf-8"))
         sides = [[tuple(rid) for rid in manifest[key]]
@@ -478,6 +479,11 @@ def _read_split_manifest(matrix, path: Path):
         raise ParseError(f"{path} is not a split manifest: {exc}") from exc
     if not all(sides):
         raise ParseError(f"{path} lists no train rows or no test rows")
+    keys = {"seed": "seed", "train_fraction": "train_fraction", "user_level_split": "user_level"}
+    differ = [f"{name} {getattr(cfg, name)!r} (manifest {manifest.get(key)!r})"
+              for name, key in keys.items() if getattr(cfg, name) != manifest.get(key)]
+    if differ:
+        print(f"warning: split settings differ from {path}: {', '.join(differ)}", file=sys.stderr)
     index = {rid: i for i, rid in enumerate(matrix.row_ids)}
     for rid in (rid for side in sides for rid in side):
         if rid not in index:
@@ -531,7 +537,7 @@ def stage_evaluate(
     models_dir = models_dir or out_root / "models"
     _require(models_dir, "models directory")
     matrix = _build_matrix(cfg, features_path)
-    train, test = _read_split_manifest(matrix, models_dir / "split_manifest.json")
+    train, test = _read_split_manifest(cfg, matrix, models_dir / "split_manifest.json")
     bundles = {
         kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
         for kind in BUNDLE_KINDS

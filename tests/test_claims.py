@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readmit.claims import (
-    NO_DIAGNOSIS_SENTINEL, DemographicRecord, MedicalClaim, PharmacyClaim,
+    NO_DIAGNOSIS_SENTINEL, DemographicRecord, MedicalClaim, PharmacyClaim, RowError,
     parse_demographics, parse_medical_claims, parse_pharmacy_claims,
     write_demographics, write_medical_claims, write_pharmacy_claims,
 )
@@ -120,6 +120,35 @@ def test_demographics_duplicate_user_names_user():
     with pytest.raises(ParseError) as err:
         parse_demographics(io.StringIO(src))
     assert "User1" in str(err.value)
+
+
+# A record whose quoted user_id spans lines 2-3, so the bad gender is on
+# physical line 4 although it is the file's third record.
+MULTILINE_DEMOGRAPHICS = ('user_id,gender,age,ethnicity,scheme_type\n'
+                          '"User\n1",M,25,Asian,Noncore\nUser2,X,30,White,Noncore\n')
+
+
+def test_strict_error_names_the_physical_line():
+    with pytest.raises(ParseError) as err:
+        parse_demographics(io.StringIO(MULTILINE_DEMOGRAPHICS))
+    assert err.value.line == 4 and str(err.value).startswith("line 4: gender 'X'")
+
+
+def test_lenient_error_names_the_physical_line():
+    result = parse_demographics(io.StringIO(MULTILINE_DEMOGRAPHICS), strict=False)
+    assert [r.user_id for r in result.records] == ["User\n1"]
+    assert result.errors == [RowError(4, "gender 'X' not in ('M', 'F')")]
+
+
+def test_medical_line_after_blank_and_multiline_records():
+    src = MED_HEADER + (
+        "\n"
+        'User1,C1,2017-04-01,2017-04-01,682.50,"786.50;\n401.9",99211\n'
+        "User1,C2,2017-04-02,2017-04-01,682.50,00000,99211\n"
+    )
+    result = parse_medical_claims(io.StringIO(src), strict=False)
+    assert result.records[0].other_diagnoses == ("78650", "4019")
+    assert result.errors == [RowError(5, "service_start 2017-04-02 after service_end 2017-04-01")]
 
 
 icd9_codes = st.one_of(

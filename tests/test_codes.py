@@ -127,3 +127,53 @@ def test_ccs_lookup(mappings):
 ])
 def test_icd9_chapters(code, chapter):
     assert icd9_chapter(code) == chapter
+
+
+def _oracle_codes():
+    """Every 5-digit code, then alphanumeric, padded, short, long and
+    non-ASCII-digit codes (``int`` reads Arabic-Indic and fullwidth digits)."""
+    yield from (f"{n:05d}" for n in range(100000))
+    yield from ("0001U", "0001f", "9923A", "V4581", "E8889", "402.01", " 99231", "99231 ",
+                "099231", "9923", "", "٩٩٢٣١", "٠٠٠٠١", "９９２８１", "２７１３０", "4280", "42")
+
+
+@pytest.mark.parametrize("ccs_path", [None, "custom"])
+def test_memoized_lookups_match_the_maps_for_every_code(tmp_path, ccs_path):
+    if ccs_path == "custom":
+        ccs_path = tmp_path / "ccs.csv"
+        ccs_path.write_text("cpt_low,cpt_high,ccs_id,ccs_label\n"
+                            "00000,00000,7,Zero\n99230,99232,8,Inside inpatient\n"
+                            "99281,99281,9,One ED code\n27130,27130,10,Hip\n")
+    config = load_code_mappings(ccs_path=ccs_path)
+    memoized = config.memoized()
+
+    # Oracles independent of the code under test: range scans, and the
+    # longest map prefix of the normalized code (checked on every 37th code).
+    def in_ranges(code, ranges):
+        return code.isdigit() and any(low <= int(code) <= high for low, high in ranges)
+
+    def ccs_scan(code):
+        hits = [ccs for low, high, ccs in config.ccs_ranges
+                if code.isdigit() and low <= int(code) <= high]
+        return hits[0] if hits else None
+
+    def longest_prefix(code):
+        code = code.strip().upper().replace(".", "")
+        prefixes = [p for p in config.comorbidity_map if len(p) <= 5 and code.startswith(p)]
+        return config.comorbidity_map[max(prefixes, key=len)] if prefixes else ()
+
+    for _ in range(2):   # the first pass fills the memos, the second reads them
+        for i, code in enumerate(_oracle_codes()):
+            assert memoized.is_inpatient(code) == in_ranges(code, INPATIENT_CPT_RANGES), code
+            assert memoized.is_ed(code) == in_ranges(code, ED_CPT_RANGES), code
+            assert memoized.is_hospital_visit(code) == in_ranges(
+                code, HOSPITAL_VISIT_CPT_RANGES), code
+            assert memoized.ccs_category(code) == config.ccs_category(code) == ccs_scan(code)
+            assert memoized.comorbidities_for(code) == config.comorbidities_for(code), code
+            if i % 37 == 0 or not code.isascii() or not code.isdigit():
+                assert memoized.comorbidities_for(code) == longest_prefix(code), code
+    assert memoized.is_inpatient("\u0669\u0669\u0662\u0663\u0661")   # Arabic-Indic 99231
+    assert memoized.comorbidities_for("402.01") == ("CHF",)
+    if ccs_path is not None:
+        assert [memoized.ccs_category(c) for c in ("00000", "99231", "٩٩٢٨١", "27131")] \
+            == [7, 8, 9, None]

@@ -367,6 +367,26 @@ class TestCliExitCodes:
         for path in sorted((small_run["out"] / "eval").glob("*.csv")):
             assert (out / "eval" / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_evaluate_warns_of_each_split_setting_that_differs(self, small_run, tmp_path,
+                                                                capsys):
+        models = small_run["out"] / "models"
+        assert self._evaluate(small_run, models, tmp_path / "same") == 0
+        assert "warning" not in capsys.readouterr().err
+        config_path = tmp_path / "other.json"
+        config_path.write_text(json.dumps(
+            {**SMALL_CONFIG, "train_fraction": 0.7, "user_level_split": True}))
+        out = tmp_path / "other"
+        assert main(["evaluate", "--config", str(config_path), "--seed", "8",
+                     "--features", str(small_run["out"] / "features" / "features.csv"),
+                     "--models", str(models), "--out", str(out)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert len(warnings) == 1
+        for fragment in ("seed 8 (manifest 7)", "train_fraction 0.7 (manifest 0.8)",
+                         "user_level_split True (manifest False)", "split_manifest.json"):
+            assert fragment in warnings[0]
+        for path in sorted((small_run["out"] / "eval").glob("*.csv")):
+            assert (out / "eval" / path.name).read_bytes() == path.read_bytes(), path.name
+
     @pytest.mark.parametrize("damage,code,message", [
         pytest.param(lambda path: path.unlink(), 3, "split manifest", id="missing"),
         pytest.param(lambda path: path.write_text(path.read_text().replace(
