@@ -13,7 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar
 
 from .errors import MappingError
 
@@ -126,9 +125,6 @@ class CodeMappingConfig:
     ccs_ranges: tuple[tuple[int, int, int], ...]  # (cpt_low, cpt_high, ccs_id), sorted
     ccs_labels: dict[int, str]
     _ccs_lows: tuple[int, ...] = field(default=(), repr=False)
-    inpatient_cpt: ClassVar[tuple[tuple[int, int], ...]] = INPATIENT_CPT_RANGES
-    ed_cpt: ClassVar[tuple[tuple[int, int], ...]] = ED_CPT_RANGES
-    hospital_visit_cpt: ClassVar[tuple[tuple[int, int], ...]] = HOSPITAL_VISIT_CPT_RANGES
 
     def comorbidities_for(self, icd9_code: str) -> tuple[str, ...]:
         """Longest-prefix lookup; equal-length ties all apply."""
@@ -154,13 +150,13 @@ class CodeMappingConfig:
         return tuple(sorted(self.ccs_labels))
 
     def is_inpatient(self, cpt: str) -> bool:
-        return cpt_in_ranges(cpt, self.inpatient_cpt)
+        return cpt_in_ranges(cpt, INPATIENT_CPT_RANGES)
 
     def is_ed(self, cpt: str) -> bool:
-        return cpt_in_ranges(cpt, self.ed_cpt)
+        return cpt_in_ranges(cpt, ED_CPT_RANGES)
 
     def is_hospital_visit(self, cpt: str) -> bool:
-        return cpt_in_ranges(cpt, self.hospital_visit_cpt)
+        return cpt_in_ranges(cpt, HOSPITAL_VISIT_CPT_RANGES)
 
     def memoized(self) -> "CodeMappingConfig":
         """A copy that answers each per-code lookup once per distinct code."""

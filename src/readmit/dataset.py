@@ -43,14 +43,11 @@ class FeatureMatrix:
 class SplitSpec:
     seed: int
     train_fraction: float = 0.8
-    fold_count: int = 10
     user_level: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.fold_count < 2:
-            raise ValueError("fold_count must be at least 2")
 
 
 def feature_columns(config: CodeMappingConfig) -> list[str]:

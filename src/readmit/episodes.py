@@ -38,10 +38,6 @@ class Episode:
     end: date
     member_claims: tuple[MedicalClaim, ...]
 
-    @property
-    def member_claim_ids(self) -> tuple[str, ...]:
-        return tuple(c.claim_id for c in self.member_claims)
-
 
 @dataclass(frozen=True, slots=True)
 class LabeledAdmission:

@@ -116,7 +116,6 @@ class ModelEvaluation:
 @dataclass
 class EvaluationReport:
     rows: list[ModelEvaluation]
-    threshold: float
 
 
 def evaluate_scores(name, train_scores, train_labels, test_scores, test_labels,
@@ -154,7 +153,7 @@ def build_report(bundles, train, test, threshold: float = 0.5) -> EvaluationRepo
             bundle.score(test.X, test.column_names), test.y,
             threshold,
         ))
-    return EvaluationReport(rows=rows, threshold=threshold)
+    return EvaluationReport(rows=rows)
 
 
 REPORT_COLUMNS = [

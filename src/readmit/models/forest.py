@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +68,6 @@ class Tree:
     value: np.ndarray       # float64, positive-class fraction of node rows
     n_samples: np.ndarray   # int32, bootstrap rows reaching the node
 
-    def node_lines(self) -> list[str]:
-        """One text line per node, in the model-file format: feature,
-        threshold, left, right, value, n_samples; floats by ``repr``."""
-        return [
-            f"{f} {thr!r} {lt} {rt} {v!r} {ns}"
-            for f, thr, lt, rt, v, ns in zip(
-                self.feature.tolist(), self.threshold.tolist(), self.left.tolist(),
-                self.right.tolist(), self.value.tolist(), self.n_samples.tolist())
-        ]
-
 
 @dataclass
 class RandomForestModel:
@@ -88,7 +78,6 @@ class RandomForestModel:
     maxnodes: int
     seed: int
     importances: np.ndarray
-    column_names: list[str] | None = field(default=None, repr=False)
 
 
 class _CodedMatrix:
@@ -243,7 +232,6 @@ def fit_random_forest(
     nodesize: int,
     maxnodes: int,
     seed: int,
-    column_names: list[str] | None = None,
 ) -> RandomForestModel:
     """Tree t grows from child t of ``seed_sequence(seed).spawn(ntree)``;
     per-tree importances are summed in tree order."""
@@ -278,7 +266,6 @@ def fit_random_forest(
         maxnodes=maxnodes,
         seed=seed,
         importances=importances,
-        column_names=column_names,
     )
 
 
@@ -303,10 +290,8 @@ def rf_predict_proba(model: RandomForestModel, X) -> np.ndarray:
     return total / len(model.trees)
 
 
-def rf_importances(model: RandomForestModel) -> list[tuple[str, float]]:
-    """(feature, importance) pairs in descending importance; ties keep
-    column order."""
-    names = model.column_names or [f"x{i}" for i in range(model.importances.size)]
-    order = sorted(range(len(names)), key=lambda i: (-model.importances[i], i))
-    return [(names[i], float(model.importances[i])) for i in order]
-
+def rf_importances(model: RandomForestModel, names: list[str]) -> list[tuple[str, float]]:
+    """(name, importance) pairs in descending importance, ``names`` giving
+    the model's columns in order (e.g. ``ModelBundle.column_names``); ties
+    keep column order."""
+    return sorted(zip(names, model.importances.tolist(), strict=True), key=lambda p: -p[1])

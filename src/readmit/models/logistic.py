@@ -11,7 +11,7 @@ gradient max-norm drops below ``tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class LogisticModel:
     converged: bool
     n_iter: int
     final_nll: float
-    column_names: list[str] | None = field(default=None, repr=False)
 
 
 def sigmoid(z):
@@ -59,7 +58,6 @@ def fit_logistic(
     l2_penalty: float = 1e-4,
     tol: float = 1e-6,
     max_iter: int = 500,
-    column_names: list[str] | None = None,
     start: tuple[np.ndarray, float] | None = None,
 ) -> LogisticModel:
     """Fit by maximizing the penalized likelihood; converged when the
@@ -123,7 +121,6 @@ def fit_logistic(
         converged=converged,
         n_iter=it,
         final_nll=float(nll),
-        column_names=column_names,
     )
 
 

@@ -12,7 +12,7 @@ rows always reuses the training statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,9 @@ class PcaTransform:
     eigenvalues: np.ndarray           # descending
     explained: np.ndarray             # fractions, descending, sum <= 1
     retained: int
-    column_names: list[str] | None = field(default=None, repr=False)
 
 
-def fit_pca(X, variance_target: float = 0.95, column_names: list[str] | None = None) -> PcaTransform:
+def fit_pca(X, variance_target: float = 0.95) -> PcaTransform:
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:
@@ -62,14 +61,11 @@ def fit_pca(X, variance_target: float = 0.95, column_names: list[str] | None = N
         eigenvalues=eigenvalues,
         explained=explained,
         retained=retained,
-        column_names=column_names,
     )
 
 
-def pca_transform(transform: PcaTransform, X, n_components: int | None = None) -> np.ndarray:
-    """Standardize with training statistics and project onto the retained
-    components (or the first ``n_components``)."""
+def pca_transform(transform: PcaTransform, X) -> np.ndarray:
+    """Standardize with training statistics; project onto the retained components."""
     X = np.asarray(X, dtype=np.float64)
-    k = transform.retained if n_components is None else n_components
     Z = (X[:, transform.kept_columns] - transform.means) / transform.stds
-    return Z @ transform.components[:, :k]
+    return Z @ transform.components[:, :transform.retained]

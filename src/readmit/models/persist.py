@@ -10,8 +10,8 @@ dataclass field type (a float by ``repr``, an int in decimal, a bool as 0
 or 1), then one ``[<prefix>.<field>]`` section per array: a float or int
 vector as ``i = v`` lines, the PCA components as ``r,c = v`` lines over the
 retained columns only, or the forest's trees, one ``[rf.tree.<t>]`` section
-of ``Tree.node_lines`` each. Floats by ``repr`` make a load/save round trip
-exact and identical fits serialize to identical bytes.
+of ``_NODE_FIELDS`` lines, one per node. Floats by ``repr`` make a load/save
+round trip exact and identical fits serialize to identical bytes.
 
 The reader raises ``ParseError``, naming the section and the key, on a
 missing section or key, misnumbered keys, a malformed node line or a value
@@ -128,7 +128,8 @@ def _part_lines(part: _Part, model) -> list[str]:
         value = getattr(model, name)
         if kind == TREES:
             for t, tree in enumerate(value):
-                lines += [f"[{part.prefix}.tree.{t}]", *tree.node_lines()]
+                nodes = zip(*(getattr(tree, f).tolist() for f, _ in _NODE_FIELDS))
+                lines += [f"[{part.prefix}.tree.{t}]", *(" ".join(map(repr, n)) for n in nodes)]
             continue
         lines.append(f"[{part.prefix}.{name}]")
         if kind == COMPONENTS:

@@ -27,7 +27,6 @@ class LinearSvmModel:
     means: np.ndarray
     stds: np.ndarray
     objective_trace: list[float] = field(default_factory=list)
-    column_names: list[str] | None = field(default=None, repr=False)
 
 
 def hinge_objective(Z, y_pm, w_aug, C) -> float:
@@ -41,7 +40,6 @@ def fit_linear_svm(
     C: float,
     epochs: int = 5,
     seed: int = 0,
-    column_names: list[str] | None = None,
 ) -> LinearSvmModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -84,7 +82,6 @@ def fit_linear_svm(
         means=means,
         stds=stds,
         objective_trace=trace,
-        column_names=column_names,
     )
 
 

@@ -203,6 +203,10 @@ class RunConfig:
 
     def generator_config(self) -> GeneratorConfig:
         g = self.generator
+        known = {f.name for f in dataclasses.fields(SignalSpec)}
+        for s in g.get("signals", []):
+            if set(s) - known:
+                raise ConfigError(f"unknown signal keys: {sorted(set(s) - known)}")
         signals = tuple(
             SignalSpec(
                 kind=s["kind"], value=str(s["value"]),
@@ -227,7 +231,6 @@ class RunConfig:
         return SplitSpec(
             seed=self.seed,
             train_fraction=self.train_fraction,
-            fold_count=self.fold_count,
             user_level=self.user_level_split,
         )
 
@@ -375,14 +378,13 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     lr_fits: dict[str, dict] = {}
     selections: dict[str, dict] = {}
 
-    def fit_lr(kind, X, column_names=None):
-        model = fit_logistic(X, ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter,
-                             column_names=column_names)
+    def fit_lr(kind, X):
+        model = fit_logistic(X, ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
         lr_fits[kind] = _fit_report(kind, model, X, ytr)
         return model
 
     bundles: dict[str, ModelBundle] = {}
-    lr_all = fit_lr("lr_all", Xtr, column_names=cols)
+    lr_all = fit_lr("lr_all", Xtr)
     bundles["lr_all"] = ModelBundle(kind="lr_all", column_names=cols, lr=lr_all)
 
     selection = loglik_feature_select(Xtr, ytr, cfg.selection_significance)
@@ -395,7 +397,7 @@ def train_models(cfg: RunConfig, matrix, train, folds):
         selected_columns=selected_names, lr=lr_sel,
     )
 
-    pca_all = fit_pca(Xtr, cfg.pca_variance_target, column_names=cols)
+    pca_all = fit_pca(Xtr, cfg.pca_variance_target)
     lr_pca = fit_lr("pca_lr", pca_transform(pca_all, Xtr))
     bundles["pca_lr"] = ModelBundle(kind="pca_lr", column_names=cols, pca=pca_all, lr=lr_pca)
 
@@ -412,14 +414,12 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     )
 
     rf_result = grid_search(rf_fold_auc, cfg.rf_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
-    rf_best = fit_random_forest(
-        Xtr, ytr, seed=derive_seed(cfg.seed, FOREST_STREAM),
-        column_names=cols, **rf_result.winner,
-    )
+    rf_best = fit_random_forest(Xtr, ytr, seed=derive_seed(cfg.seed, FOREST_STREAM),
+                                **rf_result.winner)
     bundles["rf_best"] = ModelBundle(kind="rf_best", column_names=cols, rf=rf_best)
 
     svm_result = grid_search(svm_fold_auc, svm_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
-    svm_best = fit_linear_svm(Xtr, ytr, seed=cfg.seed, column_names=cols, **svm_result.winner)
+    svm_best = fit_linear_svm(Xtr, ytr, seed=cfg.seed, **svm_result.winner)
     bundles["svm_best"] = ModelBundle(kind="svm_best", column_names=cols, svm=svm_best)
 
     pca_facts = {kind: _pca_report(bundles[kind].pca) for kind in ("pca_lr", "pca_lr_selected")}

@@ -18,9 +18,10 @@ from datetime import date, timedelta
 import numpy as np
 
 from .claims import (
-    ETHNICITIES, GENDERS, SCHEME_TYPES, DemographicRecord, MedicalClaim,
-    PharmacyClaim,
+    ETHNICITIES, GENDERS, NO_DIAGNOSIS_SENTINEL, SCHEME_TYPES, DemographicRecord,
+    MedicalClaim, PharmacyClaim,
 )
+from .codes import normalize_icd9
 from .errors import ConfigError
 from .seeding import GENERATOR_STREAM, rng_for
 
@@ -45,7 +46,9 @@ class SignalSpec:
     ``kind`` is "comorbidity" (``value`` is an ICD-9 code injected into
     other_diagnoses) or "medication" (``value`` is a 2-digit NDC prefix).
     ``strength`` is the log odds-ratio carried by the feature; carriers are
-    drawn per admission with probability ``carrier_rate``.
+    drawn per admission with probability ``carrier_rate``. A value must survive
+    the claims files: a medication prefix is two ASCII digits, a comorbidity
+    code holds no ``;`` and does not normalise to empty or ``00000``.
     """
 
     kind: str
@@ -56,6 +59,13 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in ("comorbidity", "medication"):
             raise ConfigError(f"unknown signal kind {self.kind!r}")
+        if self.kind == "medication" and not (
+                len(self.value) == 2 and self.value.isascii() and self.value.isdigit()):
+            raise ConfigError(f"medication signal value {self.value!r} is not two digits")
+        if self.kind == "comorbidity" and (
+                ";" in self.value or normalize_icd9(self.value) in ("", NO_DIAGNOSIS_SENTINEL)):
+            raise ConfigError(f"comorbidity signal value {self.value!r} is not an ICD-9 code "
+                              "the claims files can carry")
         if not 0.0 < self.carrier_rate < 1.0:
             raise ConfigError("carrier_rate must be in (0, 1)")
 
@@ -176,9 +186,9 @@ def _admission_claims(rng, user_id, claim_counter, start, end, is_ed, extra_dx):
             cpt = _PROCEDURE_CPTS[rng.integers(0, len(_PROCEDURE_CPTS))]
         else:
             cpt = _INPATIENT_NON_ED[rng.integers(0, len(_INPATIENT_NON_ED))]
-        others = []
-        if rng.random() < 0.5:
-            others.append(_random_icd9(rng))
+        others = [_random_icd9(rng)] if rng.random() < 0.5 else []
+        if i == 0:
+            others += extra_dx   # planted codes ride on the first claim: the feature always fires
         claims.append(MedicalClaim(
             user_id=user_id,
             claim_id=f"{user_id}-C{next(claim_counter)}",
@@ -188,16 +198,6 @@ def _admission_claims(rng, user_id, claim_counter, start, end, is_ed, extra_dx):
             other_diagnoses=tuple(others),
             cpt_code=cpt,
         ))
-    if extra_dx:
-        # Planted codes ride on the first claim so the feature always fires.
-        first = claims[0]
-        claims[0] = MedicalClaim(
-            user_id=first.user_id, claim_id=first.claim_id,
-            service_start=first.service_start, service_end=first.service_end,
-            primary_diagnosis=first.primary_diagnosis,
-            other_diagnoses=first.other_diagnoses + tuple(extra_dx),
-            cpt_code=first.cpt_code,
-        )
     return claims
 
 
@@ -237,23 +237,16 @@ def generate(config: GeneratorConfig) -> SyntheticData:
                 rng, user_id, claim_counter, start, end, is_ed, extra_dx
             ))
 
-            n_pharmacy = int(rng.integers(0, 3))
+            prefixes = [""] * int(rng.integers(0, 3))
+            prefixes += [s.value for s in med_signals if carrier_by_signal[s]]
             span = (end - start).days
-            for _ in range(n_pharmacy):
+            for prefix in prefixes:
                 data.pharmacy.append(PharmacyClaim(
                     user_id=user_id,
                     claim_id=f"{user_id}-P{next(pharmacy_counter)}",
                     service_date=start + timedelta(days=int(rng.integers(0, span + 1))),
-                    ndc_code=_random_ndc(rng),
+                    ndc_code=prefix + _random_ndc(rng)[len(prefix):],
                 ))
-            for sig in med_signals:
-                if carrier_by_signal[sig]:
-                    data.pharmacy.append(PharmacyClaim(
-                        user_id=user_id,
-                        claim_id=f"{user_id}-P{next(pharmacy_counter)}",
-                        service_date=start + timedelta(days=int(rng.integers(0, span + 1))),
-                        ndc_code=sig.value + _random_ndc(rng)[2:],
-                    ))
 
             logit = intercept + sum(
                 s.strength for s in config.signals if carrier_by_signal[s]

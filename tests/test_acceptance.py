@@ -303,10 +303,10 @@ def test_criterion_8_end_to_end_signal_detection(mappings):
     assert lr_auc > 0.60, f"LR test AUC {lr_auc:.4f}"
 
     rf = fit_random_forest(train.X, train.y, ntree=300, mtry=50, nodesize=50,
-                           maxnodes=50, seed=55, column_names=matrix.column_names)
+                           maxnodes=50, seed=55)
     rf_auc = auc_score(rf_predict_proba(rf, test.X), test.y)
     assert rf_auc > 0.60, f"RF test AUC {rf_auc:.4f}"
-    top5 = [name for name, _ in rf_importances(rf)[:5]]
+    top5 = [name for name, _ in rf_importances(rf, matrix.column_names)[:5]]
     assert PLANTED_COLUMN in top5, f"planted feature outside top 5: {top5}"
 
     # Null control: with no signal the mean test AUC of each model family

@@ -14,7 +14,7 @@ def ranges_as_set(ranges):
 def test_default_inpatient_set_matches_declared_ranges(mappings):
     expected = set(range(99231, 99237)) | set(range(99224, 99227)) \
         | set(range(99281, 99286)) | set(range(99291, 99293))
-    assert ranges_as_set(mappings.inpatient_cpt) == expected
+    assert ranges_as_set(INPATIENT_CPT_RANGES) == expected
     assert mappings.is_inpatient("99281")
     assert mappings.is_inpatient("99236")
     assert not mappings.is_inpatient("99211")
@@ -22,22 +22,16 @@ def test_default_inpatient_set_matches_declared_ranges(mappings):
 
 def test_default_hospital_visit_set(mappings):
     expected = set(range(99218, 99224)) | set(range(99251, 99255))
-    assert ranges_as_set(mappings.hospital_visit_cpt) == expected
+    assert ranges_as_set(HOSPITAL_VISIT_CPT_RANGES) == expected
     assert mappings.is_hospital_visit("99220")
 
 
 def test_default_ed_and_discharge_sets(mappings):
-    assert ranges_as_set(mappings.ed_cpt) == set(range(99281, 99286))
+    assert ranges_as_set(ED_CPT_RANGES) == set(range(99281, 99286))
     # discharge codes are not used: no setting treats them as a service
     for cpt in ("99217", "99238", "99239"):
         assert not (mappings.is_inpatient(cpt) or mappings.is_ed(cpt)
                     or mappings.is_hospital_visit(cpt))
-
-
-def test_default_constants_match_config(mappings):
-    assert mappings.inpatient_cpt == INPATIENT_CPT_RANGES
-    assert mappings.ed_cpt == ED_CPT_RANGES
-    assert mappings.hospital_visit_cpt == HOSPITAL_VISIT_CPT_RANGES
 
 
 def test_comorbidity_names_count():

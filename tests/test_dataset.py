@@ -205,5 +205,3 @@ def test_stratified_fold_property(n, k, seed):
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(seed=0, train_fraction=1.0)
-    with pytest.raises(ValueError):
-        SplitSpec(seed=0, fold_count=1)

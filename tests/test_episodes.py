@@ -42,7 +42,7 @@ class TestGrouping:
             claim("C3", "2017-05-04", "2017-05-08"),
             claim("C4", "2017-05-21", "2017-06-09"),
         ])
-        assert [e.member_claim_ids for e in episodes] == [("C3",), ("C4",)]
+        assert [[c.claim_id for c in e.member_claims] for e in episodes] == [["C3"], ["C4"]]
 
     def test_exact_gap_boundary_is_strict(self):
         base = group_claims_into_episodes([
@@ -59,7 +59,7 @@ class TestGrouping:
     def test_singleton(self):
         episodes = group_claims_into_episodes([claim("C1", "2017-04-01", "2017-04-01")])
         assert len(episodes) == 1
-        assert episodes[0].member_claim_ids == ("C1",)
+        assert [c.claim_id for c in episodes[0].member_claims] == ["C1"]
 
     def test_overlapping_claims_join(self):
         episodes = group_claims_into_episodes([

@@ -1,12 +1,15 @@
-"""Byte pins of the claims -> admissions -> features path.
+"""Byte pins of the generated claims and of the claims -> admissions ->
+features path.
 
-``stage_episodes`` and ``stage_features`` run on generated claims files at
-two seeds, and once in lenient mode on files with malformed rows and with
-valid rows in unusual spellings (decimal ICD-9 codes, padded dates, lower
-case and non-ASCII-digit CPT codes). The sha256 of ``admissions.csv`` and
-``features.csv`` and the lenient parse's ``RowError`` list are pinned, so a
-change to how rows are parsed, grouped or featurised that moves one output
-byte fails here.
+``stage_generate`` runs at two seeds, once with a comorbidity signal and
+once with a medication signal, and the sha256 of each file it writes is
+pinned. ``stage_episodes`` and ``stage_features`` run on generated claims
+files at two seeds, and once in lenient mode on files with malformed rows
+and with valid rows in unusual spellings (decimal ICD-9 codes, padded
+dates, lower case and non-ASCII-digit CPT codes). The sha256 of
+``admissions.csv`` and ``features.csv`` and the lenient parse's
+``RowError`` list are pinned, so a change to how claims are generated,
+parsed, grouped or featurised that moves one output byte fails here.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ from readmit.claims import (
     RowError, parse_medical_claims, parse_pharmacy_claims,
     write_demographics, write_medical_claims, write_pharmacy_claims,
 )
-from readmit.pipeline import RunConfig, stage_episodes, stage_features
+from readmit.pipeline import RunConfig, stage_episodes, stage_features, stage_generate
 from readmit.synth import generate
 
 N_USERS = 600
@@ -50,6 +53,20 @@ PINS = {
         "b2546e2d71cd770bfd88949441e019998af136ef7034be14850bb5cf84729f3e"),
     "lenient": ("5a36d4b91910537fcc5836b29e124dc87231efc4dfddea6ae58b002a6d65fb27",
                 "ec8e529174eddde2c4c388c548ffb4f0cd560d8f2fb22a989f91d72838872b9a"),
+}
+
+# seed -> (planted signal, sha256 of each file in data/).
+GENERATED_PINS = {
+    1: ({"kind": "comorbidity", "value": "4280", "strength": 1.1}, {
+        "demographics.csv": "5654eac59cde318ecd59d839284d3e45d11516da4e0f0b270d4d680495ad856c",
+        "medical_claims.csv": "ffdc2138647df8ac534e0f774bbb8bebae8c134634c24d5ba19eb7f65ce92367",
+        "pharmacy_claims.csv": "295ce6f5b663877b47ffb1cdf6f620e0c109085ca5850f8b096decdb2df36335",
+    }),
+    2: ({"kind": "medication", "value": "07", "strength": 1.1, "carrier_rate": 0.4}, {
+        "demographics.csv": "20b70f5cc94e902129a436d1a1e556ac2b407b22d1a492535464e658fbf847d1",
+        "medical_claims.csv": "51ef6461630c255817861fae3cba9e478f5bde674d48695d1366aa12e7352e21",
+        "pharmacy_claims.csv": "ab46d3978336c2e2724fe6b7535ac83c39427e880c8732ab1fb5f74da613ac50",
+    }),
 }
 
 LENIENT_ERRORS = {
@@ -91,6 +108,14 @@ def _run(tmp_path, seed: int, lenient: bool):
     stage_episodes(cfg, out)
     stage_features(cfg, out)
     return out
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_PINS))
+def test_generated_claims_are_pinned(tmp_path, seed):
+    signal, pins = GENERATED_PINS[seed]
+    cfg = RunConfig.from_dict({"seed": seed, "generator": {"n_users": 300, "signals": [signal]}})
+    data_dir = stage_generate(cfg, tmp_path)
+    assert {p.name: _sha256(p) for p in sorted(data_dir.glob("*.csv"))} == pins
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -195,10 +195,9 @@ class TestImportances:
         X = np.column_stack([rng.normal(size=(n, 3)), signal, rng.normal(size=(n, 3))])
         y = (rng.random(n) < np.where(signal == 1, 0.9, 0.1)).astype(int)
         model = fit_random_forest(X, y, ntree=60, mtry=3, nodesize=5,
-                                  maxnodes=64, seed=29,
-                                  column_names=[f"c{i}" for i in range(7)])
+                                  maxnodes=64, seed=29)
         assert abs(model.importances.sum() - 1.0) < 1e-12
-        ranked = rf_importances(model)
+        ranked = rf_importances(model, [f"c{i}" for i in range(7)])
         assert ranked[0][0] == "c3"
 
     def test_unused_feature_has_zero_importance(self):
@@ -347,7 +346,6 @@ GOLDEN_CASES = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_saved_model_bytes_are_pinned(case):
     X, y, params = GOLDEN_CASES[case]()
-    names = [f"c{j}" for j in range(X.shape[1])]
-    model = fit_random_forest(X, y, column_names=names, **params)
+    model = fit_random_forest(X, y, **params)
     text = rf_model_text(model)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256[case]

@@ -92,7 +92,8 @@ class TestTransform:
         X = rng.normal(size=(15, 4))
         transform = fit_pca(X, variance_target=1.0)
         Z = (X - transform.means) / transform.stds
-        P = pca_transform(transform, X, n_components=4)
+        assert transform.retained == 4
+        P = pca_transform(transform, X)
         for i in range(5):
             for j in range(5):
                 original = np.linalg.norm(Z[i] - Z[j])
@@ -104,14 +105,16 @@ class TestTransform:
         X = rng.normal(size=(20, 5))
         transform = fit_pca(X, variance_target=1.0)
         Z = (X - transform.means) / transform.stds
-        back = pca_transform(transform, X, n_components=5) @ transform.components.T
+        assert transform.retained == 5
+        back = pca_transform(transform, X) @ transform.components.T
         assert np.max(np.abs(back - Z)) < 1e-8
 
     def test_projected_train_variances_equal_eigenvalues(self):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
         transform = fit_pca(X, variance_target=1.0)
-        P = pca_transform(transform, X, n_components=5)
+        assert transform.retained == 5
+        P = pca_transform(transform, X)
         variances = P.var(axis=0, ddof=1)
         assert np.max(np.abs(variances - transform.eigenvalues)) < 1e-8
 

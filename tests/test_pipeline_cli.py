@@ -15,7 +15,9 @@ from readmit.cli import main
 from readmit.dataset import one_hot_encode, stratified_kfold, train_test_split
 from readmit.errors import ConfigError, ParseError
 from readmit.features import read_features_csv
-from readmit.models import LogisticModel, RandomForestModel, fit_logistic, fit_pca
+from readmit.models import (
+    LogisticModel, RandomForestModel, fit_logistic, fit_pca, fit_random_forest, rf_importances,
+)
 from readmit.models.forest import Tree
 from readmit.models.persist import ModelBundle, load_bundle, save_bundle
 from readmit.pipeline import DEFAULT_GENERATOR, RunConfig, train_models
@@ -322,6 +324,14 @@ class TestCliExitCodes:
                      id="generator-signal-missing-keys"),
         pytest.param({"generator": {"n_users": "x"}}, id="generator-n_users-text"),
         pytest.param({"generator": {"n_users": 0}}, id="generator-n_users-0"),
+        *(pytest.param({"generator": {"signals": [{**signal, "strength": 1.0}]}},
+                       id="generator-signal-" + "-".join(f"{k}={v}" for k, v in signal.items()))
+          for signal in ({"kind": "comorbidity", "value": "4280", "carrier_rte": 0.2},
+                         {"kind": "medication", "value": "123"},
+                         {"kind": "medication", "value": "ab"},
+                         {"kind": "medication", "value": "7"},
+                         {"kind": "comorbidity", "value": "00000"},
+                         {"kind": "comorbidity", "value": "40;28"})),
         {"select_after_pca": False},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
@@ -480,9 +490,9 @@ class TestPersistence:
 
     # sha256 of each saved model of one train_models run on SMALL_CONFIG.
     MODEL_SHA256 = {
-        "lr_all": "5d049e16c273008e08df289bfdfb1db364d03995ce12f490ab15ef17ff064d1b",
+        "lr_all": "4f0340d34ab3368afe68ace44fd7fed621cbf25e3e97dc8dec07210120b29eed",
         "lr_selected": "28ced7f21e6517974a95ec4156a39a41bcb606de25e980340d1ddca005cb3af4",
-        "pca_lr": "e05c8ca1a1c5fe63011fe9559006075eecd6149f3a16ce22661c7c13d9df6834",
+        "pca_lr": "430badc73b5a8df98c6030813b1e2a91898d1a10615e933df155bce29466945c",
         "pca_lr_selected": "64309386e346dafe177e89994d3ba50c80ef8a49a5cbcf1ab5af72a1d5db62e1",
         "rf_best": "83a661eb79cc730b2335d2de036a15e8fa8bd7887e3eb60ce7f85543a14052a6",
         "svm_best": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
@@ -501,9 +511,21 @@ class TestPersistence:
             digests[kind] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digests == self.MODEL_SHA256
 
+    def test_loaded_forest_ranks_factors_by_column_name(self, mappings, tmp_path):
+        matrix = self.make_matrix(mappings)
+        model = fit_random_forest(matrix.X, matrix.y, ntree=5, mtry=10, nodesize=3,
+                                  maxnodes=16, seed=3)
+        save_bundle(ModelBundle(kind="rf_best", column_names=matrix.column_names, rf=model),
+                    tmp_path / "rf_best.model")
+        loaded = load_bundle(tmp_path / "rf_best.model")
+        ranked = rf_importances(loaded.rf, loaded.column_names)
+        assert ranked == rf_importances(model, matrix.column_names)
+        assert sorted(name for name, _ in ranked) == sorted(matrix.column_names)
+        assert ranked[0][1] > 0
+
     def test_save_is_deterministic(self, mappings, tmp_path):
         matrix = self.make_matrix(mappings)
-        model = fit_logistic(matrix.X, matrix.y, column_names=matrix.column_names)
+        model = fit_logistic(matrix.X, matrix.y)
         bundle = ModelBundle(kind="lr_all", column_names=matrix.column_names, lr=model)
         text_a = save_bundle(bundle, tmp_path / "a.model")
         text_b = save_bundle(bundle, tmp_path / "b.model")
