@@ -11,18 +11,12 @@ Repeated dates, users and codes are checked once per distinct text, in a
 
 from __future__ import annotations
 
-import csv
-import io
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import partial
-from operator import itemgetter
-from pathlib import Path
 
 from .codes import Memo, normalize_icd9
-from .errors import ParseError
-from .textio import text_stream, write_csv
+from .textio import ParseResult, RowError, parse_table, write_csv  # noqa: F401 (re-exported)
 
 GENDERS = ("M", "F")
 ETHNICITIES = ("White", "Asian", "Hispanic", "Black")
@@ -71,41 +65,6 @@ class DemographicRecord:
     scheme_type: str
 
 
-@dataclass(frozen=True, slots=True)
-class RowError:
-    line: int
-    message: str
-
-
-@dataclass
-class ParseResult:
-    """Parsed records plus, in lenient mode, the rows that were skipped."""
-
-    records: list
-    errors: list[RowError]
-
-
-@contextmanager
-def _text_input(source):
-    """``source`` as a text stream: a path through ``text_stream``, a text
-    stream as is, bytes or a byte stream decoded as UTF-8. A byte stream's
-    wrapper is detached on exit, so the caller's stream stays open."""
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    elif not isinstance(source, (str, Path)):
-        if not hasattr(source, "read"):
-            raise TypeError(f"unsupported source {type(source)!r}")
-        if isinstance(source.read(0), bytes):
-            wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
-            try:
-                yield wrapper
-            finally:
-                wrapper.detach()
-            return
-    with text_stream(source) as fh:
-        yield fh
-
-
 def _parse_date(text: str, what: str) -> date:
     try:
         return date.fromisoformat(text.strip())
@@ -126,43 +85,6 @@ def group_by_user(records) -> dict[str, list]:
     for record in records:
         groups.setdefault(record.user_id, []).append(record)
     return groups
-
-
-def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
-    """``row_parser`` gets each non-blank row's cells as a tuple in
-    ``columns`` order. Errors name the record's first physical line."""
-    with _text_input(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file, expected header row", line=0)
-        index = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in index]
-        extra = [c for c in index if c not in columns]
-        if missing or extra:
-            raise ParseError(
-                f"bad header: missing columns {missing}, unexpected {extra}", line=1
-            )
-        cells = itemgetter(*(index[c] for c in columns))
-        records, errors = [], []
-        next_line = reader.line_num + 1
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1
-            if not "".join(row).strip():
-                continue
-            try:
-                if len(row) != len(columns):
-                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-                record = row_parser(cells(row))
-                if hook is not None:
-                    hook(record)
-            except ValueError as exc:
-                if strict:
-                    raise ParseError(str(exc), line=lineno) from exc
-                errors.append(RowError(lineno, str(exc)))
-                continue
-            records.append(record)
-        return ParseResult(records, errors)
 
 
 def _cpt_code(text: str) -> str:
@@ -195,7 +117,7 @@ def _medical_row():
 def _pharmacy_row(cells) -> PharmacyClaim:
     user_id, claim_id, service_date, ndc = cells
     ndc = ndc.strip()
-    if not ndc.isdigit():
+    if not (ndc.isascii() and ndc.isdigit()):
         raise ValueError(f"NDC code {ndc!r} is not numeric")
     if len(ndc) > 10:
         raise ValueError(f"NDC code {ndc!r} longer than 10 digits")

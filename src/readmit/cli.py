@@ -9,11 +9,17 @@ infeasible configuration, 1 other pipeline errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, MappingError, ParseError, ReadmitError
-from .pipeline import (
+# BLAS splits its sums by thread, so the last digits of a logistic or PCA fit, and
+# the model files, depend on the thread count: one thread, set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from .errors import ConfigError, MappingError, ParseError, ReadmitError  # noqa: E402
+from .pipeline import (  # noqa: E402
     INPUT_PATHS, RunConfig, run_all, stage_episodes, stage_evaluate, stage_features,
     stage_generate, stage_train,
 )
@@ -24,25 +30,26 @@ EXIT_USAGE = 2
 EXIT_MISSING_INPUT = 3
 EXIT_PARSE = 4
 EXIT_CONFIG = 5
+# Error kinds -> exit code, the first that matches; other errors are bugs.
+EXIT_CODES = (
+    (OSError, EXIT_MISSING_INPUT),
+    ((ParseError, MappingError), EXIT_PARSE),
+    (ConfigError, EXIT_CONFIG),
+    ((ReadmitError, ValueError), EXIT_FAILURE),
+)
 
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON run configuration file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", required=True, help="output directory root")
-    parser.add_argument("--jobs", type=int, help="worker processes for grid search")
-    parser.add_argument("--threshold", type=float,
-                        help="score threshold for sensitivity/specificity")
-    strictness = parser.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", dest="strict", action="store_true",
-                            default=None, help="abort on the first bad input row")
-    strictness.add_argument("--lenient", dest="strict", action="store_false",
-                            default=None, help="skip bad input rows and report counts")
-
-
-def _add_input_overrides(parser: argparse.ArgumentParser, *names: str):
-    for name in names:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name)
+MAPS = ("comorbidity_map", "ccs_map")
+# Subcommand -> (the stage it runs, the input paths it takes as flags).
+STAGES = {
+    "generate": (stage_generate, ()),
+    "episodes": (stage_episodes, ("medical", *MAPS)),
+    "features": (stage_features, INPUT_PATHS),
+    "train": (stage_train, ("features", *MAPS)),
+    "evaluate": (stage_evaluate, ("features", "models", *MAPS)),
+    "all": (run_all, INPUT_PATHS),
+}
+# Input flags a stage takes as an argument, not from the config -> its keyword.
+STAGE_PATHS = {"features": "features_path", "models": "models_dir"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,18 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reconstruct admissions from claims and model 30-day readmissions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, extra in (
-        ("generate", ()),
-        ("episodes", ("medical", "comorbidity_map", "ccs_map")),
-        ("features", ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")),
-        ("train", ("features", "comorbidity_map", "ccs_map")),
-        ("evaluate", ("features", "models", "comorbidity_map", "ccs_map")),
-        ("all", ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        _add_input_overrides(p, *extra)
+    for command, (_, inputs) in STAGES.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="JSON run configuration file")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", required=True, help="output directory root")
+        p.add_argument("--jobs", type=int, help="worker processes for grid search")
+        p.add_argument("--threshold", type=float,
+                       help="score threshold for sensitivity/specificity")
+        strictness = p.add_mutually_exclusive_group()
+        strictness.add_argument("--strict", dest="strict", action="store_true",
+                                default=None, help="abort on the first bad input row")
+        strictness.add_argument("--lenient", dest="strict", action="store_false",
+                                default=None, help="skip bad input rows and report counts")
+        for name in inputs:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name)
     return parser
 
 
@@ -85,34 +95,13 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         out_root = Path(args.out)
         out_root.mkdir(parents=True, exist_ok=True)
-        if args.command == "generate":
-            stage_generate(cfg, out_root)
-        elif args.command == "episodes":
-            stage_episodes(cfg, out_root)
-        elif args.command == "features":
-            stage_features(cfg, out_root)
-        elif args.command == "train":
-            features = Path(args.features) if getattr(args, "features", None) else None
-            stage_train(cfg, out_root, features_path=features)
-        elif args.command == "evaluate":
-            features = Path(args.features) if getattr(args, "features", None) else None
-            models = Path(args.models) if getattr(args, "models", None) else None
-            stage_evaluate(cfg, out_root, features_path=features, models_dir=models)
-        elif args.command == "all":
-            run_all(cfg, out_root)
+        paths = {keyword: Path(getattr(args, name)) for name, keyword in STAGE_PATHS.items()
+                 if getattr(args, name, None)}
+        STAGES[args.command][0](cfg, out_root, **paths)
         return EXIT_OK
-    except OSError as exc:
+    except (OSError, ReadmitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except (ParseError, MappingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ReadmitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -8,13 +8,13 @@ excerpt of the full AHRQ table (see README for how to replace it).
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import MappingError
+from .errors import MappingError, ParseError
+from .textio import parse_table
 
 # Category names, in the order used for feature columns.
 COMORBIDITY_NAMES: tuple[str, ...] = (
@@ -171,15 +171,14 @@ def _default_path(name: str) -> Path:
     return Path(str(resources.files("readmit").joinpath("data", name)))
 
 
-def _read_csv(path, expected_header: list[str]):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MappingError(f"{path}: empty map file")
-        if [h.strip() for h in header] != expected_header:
-            raise MappingError(f"{path}: expected columns {expected_header}, got {header}")
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+def _read_map(path, columns: list[str]):
+    """The cells of each row of the map file at ``path`` in ``columns``
+    order, the columns found by header name; a bad header or a row of the
+    wrong width raises MappingError naming the file and the line."""
+    try:
+        rows = parse_table(path, columns, tuple, strict=True).records
+    except ParseError as exc:
+        raise MappingError(f"{path}: {exc}") from None
     if not rows:
         raise MappingError(f"{path}: map file has no data rows")
     return rows
@@ -188,9 +187,7 @@ def _read_csv(path, expected_header: list[str]):
 def load_comorbidity_map(path=None) -> dict[str, tuple[str, ...]]:
     path = path or _default_path("comorbidity_map.csv")
     mapping: dict[str, tuple[str, ...]] = {}
-    for row in _read_csv(path, ["icd9_prefix", "comorbidity"]):
-        if len(row) != 2:
-            raise MappingError(f"{path}: bad row {row!r}")
+    for row in _read_map(path, ["icd9_prefix", "comorbidity"]):
         prefix, name = normalize_icd9(row[0]), row[1].strip()
         if name not in COMORBIDITY_NAMES:
             raise MappingError(f"{path}: unknown comorbidity name {name!r}")
@@ -206,9 +203,7 @@ def load_ccs_map(path=None):
     path = path or _default_path("ccs_map.csv")
     ranges: list[tuple[int, int, int]] = []
     labels: dict[int, str] = {}
-    for row in _read_csv(path, ["cpt_low", "cpt_high", "ccs_id", "ccs_label"]):
-        if len(row) != 4:
-            raise MappingError(f"{path}: bad row {row!r}")
+    for row in _read_map(path, ["cpt_low", "cpt_high", "ccs_id", "ccs_label"]):
         try:
             low, high, ccs_id = int(row[0]), int(row[1]), int(row[2])
         except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeMappingConfig
-from .features import COUNT, FAMILIES, ONE_OF, SET, AdmissionFeatures
+from .features import COUNT, FAMILIES, SET, AdmissionFeatures
 from .seeding import FOLD_STREAM, SPLIT_STREAM, rng_for
 from .textio import write_csv
 
@@ -82,26 +82,6 @@ def one_hot_encode(features: list[AdmissionFeatures], config: CodeMappingConfig)
     y = np.array([f.readmitted_within_30d for f in features], dtype=np.int8)
     return FeatureMatrix(column_names=cols, X=X, y=y,
                          row_ids=[(f.user_id, f.admission_id) for f in features])
-
-
-def decode_features(matrix: FeatureMatrix, config: CodeMappingConfig) -> list[AdmissionFeatures]:
-    """Inverse of :func:`one_hot_encode` on declared-domain rows."""
-    index = {name: j for j, name in enumerate(matrix.column_names)}
-    columns = []
-    for family in FAMILIES:
-        block = matrix.X[:, [index[c] for c in family.columns(config)]]
-        if family.kind == COUNT:
-            columns.append([int(v) for v in block[:, 0]])
-            continue
-        levels = family.domain(config)
-        sets = [frozenset(level for level, x in zip(levels, row) if x == 1.0) for row in block]
-        if family.kind == ONE_OF:
-            if any(len(s) != 1 for s in sets):
-                raise ValueError(f"a row does not encode exactly one {family.field} level")
-            sets = [next(iter(s)) for s in sets]
-        columns.append(sets)
-    return [AdmissionFeatures(*row_id, *values, bool(y))
-            for row_id, *values, y in zip(matrix.row_ids, *columns, matrix.y)]
 
 
 def train_test_split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:

@@ -113,11 +113,6 @@ class ModelEvaluation:
     test_roc: list[tuple[float, float, float]]
 
 
-@dataclass
-class EvaluationReport:
-    rows: list[ModelEvaluation]
-
-
 def evaluate_scores(name, train_scores, train_labels, test_scores, test_labels,
                     threshold: float = 0.5) -> ModelEvaluation:
     train_sens, train_spec = confusion_metrics(train_scores, train_labels, threshold)
@@ -137,23 +132,21 @@ def evaluate_scores(name, train_scores, train_labels, test_scores, test_labels,
     )
 
 
-def build_report(bundles, train, test, threshold: float = 0.5) -> EvaluationReport:
-    """Evaluate every model variant on the train/test matrices.
+def build_report(bundles, train, test, threshold: float = 0.5) -> list[ModelEvaluation]:
+    """One row per model variant, evaluated on the train/test matrices.
 
     ``bundles`` maps variant name to a scorer exposing
     ``score(X, column_names)``; rows keep the given mapping order.
     """
     if set(train.row_ids) & set(test.row_ids):
         raise ValueError("train/test row ids overlap; split is corrupted")
-    rows = []
-    for name, bundle in bundles.items():
-        rows.append(evaluate_scores(
-            name,
-            bundle.score(train.X, train.column_names), train.y,
-            bundle.score(test.X, test.column_names), test.y,
-            threshold,
-        ))
-    return EvaluationReport(rows=rows)
+    return [
+        evaluate_scores(name,
+                        bundle.score(train.X, train.column_names), train.y,
+                        bundle.score(test.X, test.column_names), test.y,
+                        threshold)
+        for name, bundle in bundles.items()
+    ]
 
 
 REPORT_COLUMNS = [
@@ -166,10 +159,10 @@ def _fmt(value) -> str:
     return "NA" if value is None else repr(value)
 
 
-def write_report_csv(report: EvaluationReport, dest):
+def write_report_csv(rows: list[ModelEvaluation], dest):
     write_csv(dest, REPORT_COLUMNS, (
         [row.name, *(_fmt(getattr(row, column)) for column in REPORT_COLUMNS[1:])]
-        for row in report.rows
+        for row in rows
     ))
 
 

@@ -12,8 +12,8 @@ before the admission start. Unknown codes degrade to empty sets or
 "Others", never to errors.
 
 ``FAMILIES`` is the one statement of the feature schema. The features.csv
-reader and writer and the design-matrix columns, encoder and decoder in
-``dataset`` all walk it.
+reader and writer and the design-matrix columns and encoder in ``dataset``
+all walk it.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES, group_by_user, parse_table
+from .claims import ETHNICITIES, GENDERS, SCHEME_TYPES, group_by_user
 from .claims import DemographicRecord, MedicalClaim, PharmacyClaim
 from .codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, OTHER_DIAGNOSIS, icd9_chapter
 from .codes import CodeMappingConfig, Memo
 from .episodes import LabeledAdmission
 from .errors import ReadmitError
-from .textio import write_csv
+from .textio import parse_table, write_csv
 
 AGE_GROUPS: tuple[tuple[str, int, int | None], ...] = (
     ("Touch", 0, 20),

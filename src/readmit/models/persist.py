@@ -23,11 +23,12 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import get_type_hints
 
 import numpy as np
 
-from ..errors import ParseError, ReadmitError
+from ..errors import ConfigError, ParseError, ReadmitError
 from ..textio import text_stream
 from .forest import RandomForestModel, Tree, rf_predict_proba
 from .logistic import LogisticModel, predict_proba
@@ -61,8 +62,13 @@ class ModelBundle:
     svm: LinearSvmModel | None = None
 
     def score(self, X, column_names: list[str]) -> np.ndarray:
-        if column_names != self.column_names:
-            raise ReadmitError(f"column mismatch scoring {self.kind} model")
+        """Scores of the rows of ``X``; columns other than the model's, e.g. after
+        a different code map, raise ConfigError naming the first that differs."""
+        for i, (model_col, col) in enumerate(zip_longest(self.column_names, column_names)):
+            if model_col != col:
+                raise ConfigError(f"features do not match the {self.kind} model at column {i}: "
+                                  f"{col or 'none'} in the features, {model_col or 'none'} "
+                                  "in the model")
         X = np.asarray(X, dtype=np.float64)
         if self.selected_columns is not None:
             index = {c: i for i, c in enumerate(column_names)}

@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +80,12 @@ CONFIG_LIMITS = {
     "svm_epochs": (True, lambda v: v >= 1, "an integer >= 1"),
 }
 INPUT_PATHS = ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")
+# Claims input -> (its parser in this module, its generated file, what that file is called).
+CLAIM_INPUTS = {
+    "medical": ("parse_medical_claims", "medical_claims.csv", "medical claims file"),
+    "pharmacy": ("parse_pharmacy_claims", "pharmacy_claims.csv", "pharmacy claims file"),
+    "demographics": ("parse_demographics", "demographics.csv", "demographics file"),
+}
 
 
 def _is_number(value, integer: bool) -> bool:
@@ -262,28 +267,20 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _resolve_inputs(cfg: RunConfig, out_root: Path):
-    data_dir = out_root / "data"
-    return (
-        Path(cfg.medical) if cfg.medical else data_dir / "medical_claims.csv",
-        Path(cfg.pharmacy) if cfg.pharmacy else data_dir / "pharmacy_claims.csv",
-        Path(cfg.demographics) if cfg.demographics else data_dir / "demographics.csv",
-    )
-
-
 def _load_mappings(cfg: RunConfig):
     return load_code_mappings(cfg.comorbidity_map, cfg.ccs_map)
 
 
-def _parse_all(cfg: RunConfig, out_root: Path):
-    medical_path, pharmacy_path, demo_path = _resolve_inputs(cfg, out_root)
-    medical = parse_medical_claims(_require(medical_path, "medical claims file"), cfg.strict)
-    pharmacy = parse_pharmacy_claims(_require(pharmacy_path, "pharmacy claims file"), cfg.strict)
-    demographics = parse_demographics(_require(demo_path, "demographics file"), cfg.strict)
-    for name, result in (("medical", medical), ("pharmacy", pharmacy), ("demographics", demographics)):
-        if result.errors:
-            _log("parse", file=name, skipped=len(result.errors))
-    return medical.records, pharmacy.records, demographics.records
+def _parse(cfg: RunConfig, out_root: Path, name: str) -> list:
+    """The records of input ``name``: its path in ``cfg``, else the file
+    ``stage_generate`` writes. Its parser is looked up when called, so a
+    wrapper set on this module's attribute sees the call."""
+    parser, file, what = CLAIM_INPUTS[name]
+    path = Path(getattr(cfg, name) or out_root / "data" / file)
+    result = globals()[parser](_require(path, what), cfg.strict)
+    if result.errors:
+        _log("parse", file=name, skipped=len(result.errors))
+    return result.records
 
 
 def stage_generate(cfg: RunConfig, out_root: Path) -> Path:
@@ -302,11 +299,8 @@ def stage_generate(cfg: RunConfig, out_root: Path) -> Path:
 def stage_episodes(cfg: RunConfig, out_root: Path) -> Path:
     out_dir = out_root / "episodes"
     out_dir.mkdir(parents=True, exist_ok=True)
-    medical_path, _, _ = _resolve_inputs(cfg, out_root)
-    result = parse_medical_claims(_require(medical_path, "medical claims file"), cfg.strict)
-    if result.errors:
-        _log("parse", file="medical", skipped=len(result.errors))
-    labeled, removed = build_labeled_admissions(result.records, _load_mappings(cfg))
+    labeled, removed = build_labeled_admissions(_parse(cfg, out_root, "medical"),
+                                                _load_mappings(cfg))
     write_admissions_csv(labeled, out_dir / "admissions.csv")
     _write_manifest(cfg, "episodes", out_dir)
     _log("episodes", admissions=len(labeled), readmissions=len(removed))
@@ -316,7 +310,7 @@ def stage_episodes(cfg: RunConfig, out_root: Path) -> Path:
 def stage_features(cfg: RunConfig, out_root: Path) -> Path:
     out_dir = out_root / "features"
     out_dir.mkdir(parents=True, exist_ok=True)
-    medical, pharmacy, demographics = _parse_all(cfg, out_root)
+    medical, pharmacy, demographics = (_parse(cfg, out_root, name) for name in CLAIM_INPUTS)
     mappings = _load_mappings(cfg)
     labeled, _ = build_labeled_admissions(medical, mappings)
     if not cfg.strict:
@@ -384,22 +378,23 @@ def train_models(cfg: RunConfig, matrix, train, folds):
         return model
 
     bundles: dict[str, ModelBundle] = {}
+
+    def add(kind, **parts):
+        bundles[kind] = ModelBundle(kind=kind, column_names=cols, **parts)
+
     lr_all = fit_lr("lr_all", Xtr)
-    bundles["lr_all"] = ModelBundle(kind="lr_all", column_names=cols, lr=lr_all)
+    add("lr_all", lr=lr_all)
 
     selection = loglik_feature_select(Xtr, ytr, cfg.selection_significance)
     selections["lr_selected"] = _selection_report(selection, cols)
     selected_idx = selection.columns
     selected_names = [cols[i] for i in selected_idx]
     lr_sel = fit_lr("lr_selected", Xtr[:, selected_idx])
-    bundles["lr_selected"] = ModelBundle(
-        kind="lr_selected", column_names=cols,
-        selected_columns=selected_names, lr=lr_sel,
-    )
+    add("lr_selected", selected_columns=selected_names, lr=lr_sel)
 
     pca_all = fit_pca(Xtr, cfg.pca_variance_target)
     lr_pca = fit_lr("pca_lr", pca_transform(pca_all, Xtr))
-    bundles["pca_lr"] = ModelBundle(kind="pca_lr", column_names=cols, pca=pca_all, lr=lr_pca)
+    add("pca_lr", pca=pca_all, lr=lr_pca)
 
     if not selected_idx:
         raise ConfigError(
@@ -408,28 +403,27 @@ def train_models(cfg: RunConfig, matrix, train, folds):
         )
     pca_sel = fit_pca(Xtr[:, selected_idx], cfg.pca_variance_target)
     lr_pca_sel = fit_lr("pca_lr_selected", pca_transform(pca_sel, Xtr[:, selected_idx]))
-    bundles["pca_lr_selected"] = ModelBundle(
-        kind="pca_lr_selected", column_names=cols,
-        selected_columns=selected_names, pca=pca_sel, lr=lr_pca_sel,
-    )
+    add("pca_lr_selected", selected_columns=selected_names, pca=pca_sel, lr=lr_pca_sel)
 
     rf_result = grid_search(rf_fold_auc, cfg.rf_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
     rf_best = fit_random_forest(Xtr, ytr, seed=derive_seed(cfg.seed, FOREST_STREAM),
                                 **rf_result.winner)
-    bundles["rf_best"] = ModelBundle(kind="rf_best", column_names=cols, rf=rf_best)
+    add("rf_best", rf=rf_best)
 
     svm_result = grid_search(svm_fold_auc, svm_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
     svm_best = fit_linear_svm(Xtr, ytr, seed=cfg.seed, **svm_result.winner)
-    bundles["svm_best"] = ModelBundle(kind="svm_best", column_names=cols, svm=svm_best)
+    add("svm_best", svm=svm_best)
 
     pca_facts = {kind: _pca_report(bundles[kind].pca) for kind in ("pca_lr", "pca_lr_selected")}
     diagnostics = {"lr_fits": lr_fits, "selection": selections, "pca": pca_facts}
     return bundles, rf_result, svm_result, diagnostics
 
 
-def _build_matrix(cfg: RunConfig, features_path: Path):
-    """The encoded features file; a malformed file, or a level outside the
-    code maps, raises ParseError naming the file."""
+def _build_matrix(cfg: RunConfig, out_root: Path, features_path: Path | None):
+    """The encoded features file, by default the one ``stage_features``
+    writes; a malformed file, or a level outside the code maps, raises
+    ParseError naming the file."""
+    features_path = features_path or out_root / "features" / "features.csv"
     mappings = _load_mappings(cfg)
     try:
         features = read_features_csv(_require(features_path, "features file"))
@@ -491,23 +485,9 @@ def _read_split_manifest(cfg: RunConfig, matrix, path: Path):
     return tuple(matrix.subset([index[rid] for rid in side]) for side in sides)
 
 
-def _check_model_columns(bundles, column_names: list[str]):
-    """Raise ConfigError naming the first column where a model's columns
-    and the encoded features differ, e.g. after a different code map."""
-    for kind, bundle in bundles.items():
-        pairs = zip_longest(bundle.column_names, column_names)
-        for i, (model_col, feature_col) in enumerate(pairs):
-            if model_col != feature_col:
-                raise ConfigError(
-                    f"features do not match the {kind} model at column {i}: "
-                    f"{feature_col or 'none'} in the features, "
-                    f"{model_col or 'none'} in the model")
-
-
 def stage_train(cfg: RunConfig, out_root: Path, features_path: Path | None = None) -> Path:
     out_dir = out_root / "models"
-    features_path = features_path or out_root / "features" / "features.csv"
-    matrix = _build_matrix(cfg, features_path)
+    matrix = _build_matrix(cfg, out_root, features_path)
     train, test = train_test_split(matrix, cfg.split_spec())
     folds = stratified_kfold(train.y, cfg.fold_count, cfg.seed)
     _check_class_balance(train, test, folds)
@@ -532,24 +512,22 @@ def stage_evaluate(
     models_dir: Path | None = None,
 ) -> Path:
     out_dir = out_root / "eval"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    features_path = features_path or out_root / "features" / "features.csv"
     models_dir = models_dir or out_root / "models"
     _require(models_dir, "models directory")
-    matrix = _build_matrix(cfg, features_path)
+    matrix = _build_matrix(cfg, out_root, features_path)
     train, test = _read_split_manifest(cfg, matrix, models_dir / "split_manifest.json")
     bundles = {
         kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
         for kind in BUNDLE_KINDS
     }
-    _check_model_columns(bundles, matrix.column_names)
-    report = build_report(bundles, train, test, cfg.threshold)
-    for row in report.rows:
+    rows = build_report(bundles, train, test, cfg.threshold)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for row in rows:
         write_roc_csv(row.train_roc, out_dir / f"roc_{row.name}_train.csv")
         write_roc_csv(row.test_roc, out_dir / f"roc_{row.name}_test.csv")
-    write_report_csv(report, out_dir / "report.csv")
+    write_report_csv(rows, out_dir / "report.csv")
     _write_manifest(cfg, "evaluate", out_dir)
-    _log("evaluate", models=len(report.rows), threshold=cfg.threshold)
+    _log("evaluate", models=len(rows), threshold=cfg.threshold)
     return out_dir
 
 

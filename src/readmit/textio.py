@@ -1,11 +1,21 @@
-"""The one way readmit's CSV readers and writers get a text stream, and
-the one CSV writer."""
+"""readmit's one stream opener, its one CSV reader and its one CSV writer.
+
+``text_stream`` turns every source or destination a reader or writer takes
+into a text stream. ``parse_table`` reads every CSV file: the three claims
+files, ``features.csv`` and the two code maps. ``write_csv`` writes every
+CSV file of the output tree.
+"""
 
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import contextmanager
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -13,14 +23,76 @@ def text_stream(target, mode: str = "r"):
     """Yield ``target`` as a text stream.
 
     A path is opened in ``mode`` as UTF-8 with ``newline=""`` (so the csv
-    module controls line endings) and closed on exit; an open stream is
-    yielded as is and left open for its owner.
+    module controls line endings) and closed on exit. Bytes are decoded as
+    UTF-8. A byte stream is read as UTF-8 through a wrapper that is detached
+    on exit, so the caller's stream stays open; a text stream is yielded as
+    is and left open for its owner.
     """
     if isinstance(target, (str, Path)):
         with open(target, mode, newline="", encoding="utf-8") as fh:
             yield fh
+    elif isinstance(target, (bytes, bytearray)):
+        yield io.StringIO(target.decode("utf-8"))
+    elif mode == "r" and isinstance(target.read(0), bytes):
+        wrapper = io.TextIOWrapper(target, encoding="utf-8", newline="")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
     else:
         yield target
+
+
+@dataclass(frozen=True, slots=True)
+class RowError:
+    line: int
+    message: str
+
+
+@dataclass
+class ParseResult:
+    """Parsed records plus, in lenient mode, the rows that were skipped."""
+
+    records: list
+    errors: list[RowError]
+
+
+def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
+    """``row_parser`` gets each non-blank row's cells as a tuple in
+    ``columns`` order, whatever the header's order. Errors name the record's
+    first physical line."""
+    with text_stream(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file, expected header row", line=0)
+        index = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        extra = [c for c in index if c not in columns]
+        if missing or extra:
+            raise ParseError(
+                f"bad header: missing columns {missing}, unexpected {extra}", line=1
+            )
+        cells = itemgetter(*(index[c] for c in columns))
+        records, errors = [], []
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if not "".join(row).strip():
+                continue
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+                record = row_parser(cells(row))
+                if hook is not None:
+                    hook(record)
+            except ValueError as exc:
+                if strict:
+                    raise ParseError(str(exc), line=lineno) from exc
+                errors.append(RowError(lineno, str(exc)))
+                continue
+            records.append(record)
+        return ParseResult(records, errors)
 
 
 def write_csv(dest, header, rows):

@@ -94,6 +94,24 @@ def test_pharmacy_non_numeric_ndc_rejected():
         parse_pharmacy_claims(io.StringIO(src))
 
 
+# Arabic-Indic digits: str.isdigit() accepts them, an NDC may not.
+NON_ASCII_NDC = "\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669\u0660"
+NON_ASCII_NDC_SRC = ("user_id,claim_id,service_date,ndc_code\n"
+                     f"User1,P1,2017-05-05,{NON_ASCII_NDC}\nUser1,P2,2017-05-06,2759701\n")
+
+
+def test_pharmacy_non_ascii_ndc_rejected_strict():
+    with pytest.raises(ParseError) as err:
+        parse_pharmacy_claims(io.StringIO(NON_ASCII_NDC_SRC))
+    assert err.value.line == 2 and "NDC code" in str(err.value)
+
+
+def test_pharmacy_non_ascii_ndc_skipped_and_counted_lenient():
+    result = parse_pharmacy_claims(io.StringIO(NON_ASCII_NDC_SRC), strict=False)
+    assert [r.claim_id for r in result.records] == ["P2"]
+    assert result.errors == [RowError(2, f"NDC code {NON_ASCII_NDC!r} is not numeric")]
+
+
 def test_demographics_worked_rows():
     src = ("user_id,gender,age,ethnicity,scheme_type\n"
            "User1,M,25,Asian,Large Central Metro\n")

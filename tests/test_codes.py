@@ -82,6 +82,20 @@ def test_unknown_comorbidity_name_rejected(tmp_path):
         load_code_mappings(comorbidity_path=path)
 
 
+def test_map_row_of_wrong_width_names_file_and_line(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text("icd9_prefix,comorbidity\n4020,CHF\n428,CHF,extra\n")
+    with pytest.raises(MappingError) as err:
+        load_code_mappings(comorbidity_path=path)
+    assert str(path) in str(err.value) and "line 3" in str(err.value)
+
+
+def test_map_columns_found_by_header_name(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text("comorbidity,icd9_prefix\nCHF,4020\n")
+    assert load_code_mappings(comorbidity_path=path).comorbidities_for("40201") == ("CHF",)
+
+
 def test_empty_map_file_rejected(tmp_path):
     path = tmp_path / "map.csv"
     path.write_text("icd9_prefix,comorbidity\n")

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from readmit.claims import ETHNICITIES, GENDERS, SCHEME_TYPES
 from readmit.codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES
 from readmit.dataset import (
-    FeatureMatrix, SplitSpec, decode_features, feature_columns, one_hot_encode,
+    FeatureMatrix, SplitSpec, feature_columns, one_hot_encode,
     stratified_kfold, train_test_split, write_matrix_csv,
 )
-from readmit.features import AGE_GROUP_NAMES, MEDICATION_CATEGORIES, AdmissionFeatures
+from readmit.features import (
+    AGE_GROUP_NAMES, COUNT, FAMILIES, MEDICATION_CATEGORIES, SET, AdmissionFeatures,
+)
 
 from conftest import PINNED_FEATURES
 
@@ -102,14 +104,25 @@ def test_matrix_csv_bytes_are_pinned(mappings):
     write_matrix_csv(matrix, buffer)
     assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == (
         "8bca984eeebd7f2ecd5130f23f6d34064c2c8e9d4af7b57efba1665484990f6b")
-    assert decode_features(matrix, mappings) == PINNED_FEATURES
 
 
 @given(st.data())
-def test_encode_decode_bijection(mappings, data):
+def test_each_family_fills_only_its_own_columns(mappings, data):
     bundles = data.draw(make_bundles(mappings))
     matrix = one_hot_encode(bundles, mappings)
-    assert decode_features(matrix, mappings) == bundles
+    index = {name: j for j, name in enumerate(matrix.column_names)}
+    for family in FAMILIES:
+        block = matrix.X[:, [index[c] for c in family.columns(mappings)]]
+        for row, f in zip(block.tolist(), bundles):
+            value = getattr(f, family.field)
+            if family.kind == COUNT:
+                assert row == [value], family.field
+                continue
+            levels = value if family.kind == SET else {value}
+            indicators = [float(level in levels) for level in family.domain(mappings)]
+            assert row == indicators, family.field
+    assert matrix.y.tolist() == [int(f.readmitted_within_30d) for f in bundles]
+    assert matrix.row_ids == [(f.user_id, f.admission_id) for f in bundles]
 
 
 @given(st.data())

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import readmit
 from readmit.cli import main
 from readmit.dataset import one_hot_encode, stratified_kfold, train_test_split
 from readmit.errors import ConfigError, ParseError
@@ -352,7 +356,7 @@ class TestCliExitCodes:
                               "--ccs-map", str(ccs_map)) == 5
         err = capsys.readouterr().err
         assert "proc_999" in err and "lr_all" in err and "Traceback" not in err
-        assert not (out / "eval" / "report.csv").exists()
+        assert not (out / "eval").exists()
 
     def test_truncated_model_file_exit_4(self, small_run, tmp_path, capsys):
         models = tmp_path / "models"
@@ -365,6 +369,7 @@ class TestCliExitCodes:
                      "--models", str(models), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "lr_all model" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "eval").exists()
 
     def _evaluate(self, small_run, models, out, *flags):
         return main(["evaluate", "--config", str(small_run["config_path"]), *flags,
@@ -416,6 +421,7 @@ class TestCliExitCodes:
         assert self._evaluate(small_run, models, tmp_path / "o") == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "eval").exists()
 
     def test_single_class_fold_exit_5_before_models(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"
@@ -450,6 +456,39 @@ class TestCliExitCodes:
                  for line in (out / "features" / "features.csv").read_text().splitlines()[1:]}
         assert users == {"User2"}
         assert "admissions_dropped=2" in capsys.readouterr().err
+
+    def test_lenient_features_skip_non_ascii_ndc(self, worked_example_files, mappings,
+                                                 tmp_path, capsys):
+        pharmacy = worked_example_files["pharmacy"]
+        pharmacy.write_text(pharmacy.read_text() + "User1,P9,2017-05-06,\u0661\u0662345\n")
+        inputs = [f"--{name}={path}" for name, path in worked_example_files.items()]
+        assert main(["features", *inputs, "--out", str(tmp_path / "strict")]) == 4
+        assert "line 5" in capsys.readouterr().err
+        out = tmp_path / "lenient"
+        assert main(["features", "--lenient", *inputs, "--out", str(out)]) == 0
+        assert "file=pharmacy skipped=1" in capsys.readouterr().err
+        features = read_features_csv(out / "features" / "features.csv")
+        assert one_hot_encode(features, mappings).n_rows == len(features) == 3
+
+    def test_evaluate_missing_models_dir_exit_3(self, small_run, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self._evaluate(small_run, tmp_path / "nowhere", out) == 3
+        assert "models directory" in capsys.readouterr().err
+        assert not (out / "eval").exists()
+
+    def test_cli_runs_blas_at_one_thread(self, small_run, tmp_path):
+        """A CLI run started with two BLAS threads writes the model files
+        of the one-thread run."""
+        src = str(Path(readmit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "2"))
+        out = tmp_path / "o"
+        subprocess.run([sys.executable, "-m", "readmit.cli", "train",
+                        "--config", str(small_run["config_path"]),
+                        "--features", str(small_run["out"] / "features" / "features.csv"),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        assert tree_bytes(out / "models") == tree_bytes(small_run["out"] / "models")
 
     def test_non_finite_threshold_flag_exit_5(self, tmp_path):
         assert main(["all", "--threshold", "nan", "--out", str(tmp_path / "o")]) == 5
@@ -535,8 +574,14 @@ class TestPersistence:
         matrix = self.make_matrix(mappings)
         model = fit_logistic(matrix.X, matrix.y)
         bundle = ModelBundle(kind="lr_all", column_names=matrix.column_names, lr=model)
-        with pytest.raises(Exception):
-            bundle.score(matrix.X, ["wrong"] * len(matrix.column_names))
+        columns = list(matrix.column_names)
+        columns[3] = "wrong"
+        with pytest.raises(ConfigError) as err:
+            bundle.score(matrix.X, columns)
+        assert "lr_all model at column 3: wrong in the features" in str(err.value)
+        assert matrix.column_names[3] in str(err.value)
+        with pytest.raises(ConfigError, match="column 1: none in the features"):
+            bundle.score(matrix.X[:, :1], columns[:1])
 
 
 def _lr_text() -> str:
