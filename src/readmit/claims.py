@@ -89,7 +89,7 @@ def group_by_user(records) -> dict[str, list]:
 
 def _cpt_code(text: str) -> str:
     cpt = text.strip().upper()
-    if len(cpt) != 5 or not cpt.isalnum():
+    if len(cpt) != 5 or not (cpt.isascii() and cpt.isalnum()):
         raise ValueError(f"bad CPT code {text.strip()!r} (expected 5 characters)")
     return cpt
 

@@ -54,7 +54,7 @@ def column_name(prefix: str, level) -> str:
 
 
 def _decimal(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"{text!r} is not a decimal number")
     return int(text)
 

@@ -19,30 +19,51 @@ Trees are grown by counting, not by copying rows:
   one product ``[w; w*y][:, rows] @ below[rows]`` with the 0/1 matrix of
   ``_CodedMatrix``. When a node is split, only the child with fewer rows
   is counted; the other child's histogram is the parent's minus it.
-- Both children of a split are scored in one vectorized pass over the
-  ``below`` columns of their drawn features only, in draw order, so the
-  first maximum is the tie winner. Their features are drawn first, left
-  child then right, the order in which nodes are considered, so the random
-  stream does not depend on how the counting is batched.
+- Trees grow in blocks of ``_BLOCK_TREES`` (32), in lockstep rounds. A
+  round pops the best queued node of every tree that still has budget and
+  splits it: the rows of all popped nodes are routed in one gather, and
+  all their children go to one ``consider``. That call expands the drawn
+  features of every open node into their ``below`` columns with a few
+  numpy calls, scores all of them in one pass and takes each node's winner
+  as the first hit of its segment's maximum, in draw order, so the
+  earliest drawn feature wins a tie.
+
+Lockstep growth changes no tree. Each tree keeps its own generator and
+draws in the order it would alone: its bootstrap, its root's features,
+then the left and then the right child of each split, in split order. Its
+heap, tie counter, importances and histograms are its own, and the float32
+sums are exact in any order (below). So a tree grown in a block is the
+tree grown alone, and a smaller forest is a prefix of a larger one.
+
+Memory bounds the block: every queued node holds its own (2, C) float32
+histogram, ~1.5 KB at readmit's C ~ 190, and a tree queues at most about
+``maxnodes`` of them, so a block at ``maxnodes`` 300 holds <= ~15 MB.
+``rf_predict_proba`` scores the same blocks: it walks every (tree, row)
+pair of a block through the trees' concatenated nodes at once and adds
+the trees' scores in tree order, so a block of 32 trees on 8,000 rows
+holds ~2 MB per index array.
 
 The product runs in float32. Every sum is an integer no larger than n, so
 it is exact for n <= 2**24 rows; ``fit_random_forest`` refuses more.
 
-``below`` is built once per fit: a plain sort per column gives the
-distinct values (no ``np.unique(return_inverse=True)``, which argsorts),
-then each block of rows is compared with every candidate value at once,
-straight into one preallocated float32 array.
+``below`` is built once per fit: a column that holds only its min and max
+needs no sort, the others get a plain sort and a neighbour test (no
+``np.unique(return_inverse=True)``, which argsorts), then each block of
+rows is compared with every candidate value at once, straight into one
+preallocated float32 array.
 It is C-ordered, n x (distinct values - 1 summed over columns), because a
 node gathers whole rows of it; n x ~190 (~5.5 MB at 7,200 rows) on
 readmit's design matrix, whose columns hold few distinct values. A
 continuous column costs about n columns. -0.0 and 0.0 are one value.
 
-Per-call overhead, not arithmetic, bounds a node: on 7,200 rows a split
-costs ~100 us, of which the histogram product is ~15 us and the feature
-draws ~25 us; the rest is a few dozen numpy calls on arrays of a few
-hundred entries, the heap and bookkeeping. So the per-node code keeps its
-numpy calls few, scores the two children of a split together and enters
-``np.errstate`` once per fit.
+Per-call overhead, not arithmetic, bounds a split: on 7,200 rows a tree
+grown on its own pays ~100 us per split, of which the histogram product
+is ~15 us. So the numpy calls of a round serve the whole block, and
+``np.errstate`` is entered once per fit. In a 32-tree block a split costs
+~75-90 us: the small child's row gather and product ~25-30 us, the two
+children's feature draws (one ``Generator.choice`` each, which no block
+can share) ~25 us, routing the rows ~10 us, and scoring and queueing ~10
+us; the rest is Python bookkeeping per split.
 """
 
 from __future__ import annotations
@@ -57,6 +78,7 @@ from ..seeding import seed_sequence
 
 MAX_ROWS = 2 ** 24   # float32 holds every integer count up to here exactly
 _CODE_ROWS = 32      # rows per block when building the 0/1 matrix
+_BLOCK_TREES = 32    # trees grown, and scored, together
 
 
 @dataclass
@@ -86,30 +108,41 @@ class _CodedMatrix:
     ``uniques[j]`` holds the sorted distinct values of column j. ``below``
     has one 0/1 column per (j, b) for every b but the last, set on the rows
     where ``x_j <= uniques[j][b]``: the candidate split at that value.
-    ``feature`` gives the column j of each ``below`` column and ``start``
-    the first ``below`` column of each j, and ``columns[j]`` lists j's
-    ``below`` columns.
+    ``feature`` gives the column j of each ``below`` column, ``start`` the
+    first ``below`` column of each j and ``widths`` how many j has.
+    ``fixed`` maps the one ``below`` column of each two-valued column to its
+    threshold, which is the same in every node.
     """
 
     def __init__(self, X):
-        # A sort and a neighbour test, not np.unique: the first plain
-        # np.unique call imports numpy.ma (~1 MB resident), and
-        # return_inverse costs an argsort.
+        # A column holding only its min and max needs no sort. The rest are
+        # sorted and neighbour-tested, not passed to np.unique: its first
+        # plain call imports numpy.ma (~1 MB resident), and return_inverse
+        # costs an argsort.
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        nan = np.flatnonzero(np.isnan(lo))   # min propagates NaN
+        if nan.size:
+            raise ValueError(f"column {nan[0]} holds NaN")
+        ends = X == lo
+        ends |= X == hi
+        ends = ends.all(axis=0)
         self.uniques = []
         for j, column in enumerate(X.T):
-            ordered = np.sort(column)
-            if np.isnan(ordered[-1]):   # NaN sorts last
-                raise ValueError(f"column {j} holds NaN")
-            self.uniques.append(ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))])
-        widths = [u.size - 1 for u in self.uniques]
-        self.feature = np.repeat(np.arange(len(widths)), widths)
-        self.start = np.cumsum(widths) - widths
+            if ends[j]:
+                self.uniques.append(lo[j:j + 1] if lo[j] == hi[j] else np.array([lo[j], hi[j]]))
+            else:
+                ordered = np.sort(column)
+                self.uniques.append(ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))])
+        self.widths = np.array([u.size - 1 for u in self.uniques])
+        self.feature = np.repeat(np.arange(self.widths.size), self.widths)
+        self.start = np.cumsum(self.widths) - self.widths
         values = np.concatenate([u[:-1] for u in self.uniques])
         self.below = np.empty((X.shape[0], values.size), dtype=np.float32)
         for r in range(0, X.shape[0], _CODE_ROWS):
             np.less_equal(X[r:r + _CODE_ROWS].take(self.feature, axis=1), values,
                           out=self.below[r:r + _CODE_ROWS])
-        self.columns = [list(range(s, s + w)) for s, w in zip(self.start.tolist(), widths)]
+        self.fixed = {k: self.threshold(j, k, values)   # one candidate: any counts will do
+                      for j, k in enumerate(self.start.tolist()) if self.widths[j] == 1}
 
     def threshold(self, j: int, k: int, counts_below) -> float:
         """Threshold of the split at ``below`` column k (of column j) of a
@@ -128,84 +161,117 @@ class _CodedMatrix:
         return threshold
 
 
-def _fit_tree(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rng):
+def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
+    """Grow one tree per generator in ``rngs``, all in lockstep rounds, and
+    return each tree with its importances, in ``rngs`` order."""
     n, d = coded.below.shape[0], len(coded.uniques)
-    below, feature, columns = coded.below, coded.feature, coded.columns
-    width = below.shape[1]
-    w = np.bincount(rng.integers(0, n, n), minlength=n)
+    below, feature, width = coded.below, coded.feature, coded.below.shape[1]
+    w = np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs])
     wy = w * y
-    counts = np.stack([w, wy]).astype(np.float32)
-    sizes, positives = [n], [int(wy.sum())]
-    splits = []                  # (node, feature, threshold, left child), in split order
-    importances = [0.0] * d
-    heap = []
-    counter = itertools.count()
+    counts = np.stack([w, wy], axis=1).astype(np.float32)   # tree x (rows, positives) x n
+    sizes = [[n] for _ in rngs]
+    positives = [[int(p)] for p in wy.sum(axis=1)]
+    splits = [[] for _ in rngs]   # per tree: (node, feature, threshold, left child), in split order
+    importances = [[0.0] * d for _ in rngs]
+    heaps = [[] for _ in rngs]
+    counters = [itertools.count() for _ in rngs]
 
-    def consider(nodes, parent_hist=None):
-        """Draw features for each (node, rows, size, positives) in order and
-        queue the best split of each node that has one. Ties go to the
-        earliest drawn feature, then to the lowest value."""
-        feats = [rng.choice(d, size=mtry, replace=False).tolist() for _ in nodes]
-        open_ = [i for i, (_, _, size, pos) in enumerate(nodes)
-                 if size >= 2 * nodesize and 0 < pos < size]
-        if not open_ or not width:   # nothing to split, or every column constant
+    def consider(trees, nodes, parents):
+        """Draw features for each (node, rows, size, positives) of tree
+        ``trees[i]`` in order and queue the best split of each node that has
+        one. ``nodes`` are roots (``parents`` None) or sibling pairs, left
+        then right, whose parent histograms ``parents`` holds. Ties go to
+        the earliest drawn feature, then to the lowest value."""
+        feats = np.array([rngs[t].choice(d, size=mtry, replace=False) for t in trees])
+        size = np.array([node[2] for node in nodes])
+        pos = np.array([node[3] for node in nodes])
+        open_ = np.flatnonzero((size >= 2 * nodesize) & (0 < pos) & (pos < size))
+        if not open_.size or not width:   # nothing to split, or every column constant
             return
-        # hist[:, i] holds node i's weighted (rows, positives) at or below
-        # each below column
-        if parent_hist is None:
-            hist = (counts @ below)[:, None]
+        # hist[i] holds node i's weighted (rows, positives) at or below each
+        # below column; only pairs with an open node are counted
+        if parents is None:
+            hist = (counts[trees].reshape(-1, n) @ below).reshape(len(nodes), 2, width)
         else:
-            small = int(nodes[1][1].size < nodes[0][1].size)
-            rows = nodes[small][1]
-            hist = np.empty((2, 2, width), dtype=np.float32)
-            hist[:, small] = counts.take(rows, axis=1) @ below.take(rows, axis=0)
-            np.subtract(parent_hist, hist[:, small], out=hist[:, 1 - small])
-        # Score only the drawn features' below columns, in draw order; idx
-        # indexes hist.reshape(2, -1). An empty rank needs no test of its
-        # own: its split equals that of the nearest non-empty rank below it,
-        # which wins the tie, or leaves no rows on the left and is invalid.
-        idx, lengths, totals = [], [], []
-        for i in open_:
-            found = [k + i * width for f in feats[i] for k in columns[f]]
-            idx += found
-            lengths.append(len(found))
-            _, _, size, pos = nodes[i]
-            totals.append((size, pos, 2.0 * pos * (size - pos) / size))
-        if not idx:
+            hist = np.empty((len(nodes), 2, width), dtype=np.float32)
+            for p in dict.fromkeys((open_ // 2).tolist()):
+                t, rows_l, rows_r = trees[2 * p], nodes[2 * p][1], nodes[2 * p + 1][1]
+                small = int(rows_r.size < rows_l.size)
+                rows = rows_r if small else rows_l
+                np.matmul(counts[t].take(rows, axis=1), below.take(rows, axis=0),
+                          out=hist[2 * p + small])
+                np.subtract(parents[p], hist[2 * p + small], out=hist[2 * p + 1 - small])
+        # Score only the drawn features' below columns, in draw order: each
+        # (node, feature) expands to its range of below columns. An empty
+        # rank needs no test of its own: its split equals that of the
+        # nearest non-empty rank below it, which wins the tie, or leaves no
+        # rows on the left and is invalid.
+        drawn = feats[open_].ravel()
+        per_draw = coded.widths[drawn]
+        lengths = per_draw.reshape(open_.size, mtry).sum(axis=1)
+        total = int(lengths.sum())
+        if not total:
             return
-        tot = np.repeat(np.array(totals).T, lengths, axis=1)
-        sides = np.empty((2, 2, len(idx)))           # (left, right) x (rows, positives)
-        sides[0] = hist.reshape(2, -1)[:, idx]
+        cols = np.arange(total) + np.repeat(coded.start[drawn] - (np.cumsum(per_draw) - per_draw),
+                                            per_draw)
+        at = np.repeat(open_ * (2 * width), lengths) + cols   # into hist.ravel()
+        flat = hist.ravel()
+        size_f, pos_f = size[open_].astype(np.float64), pos[open_].astype(np.float64)
+        tot = np.repeat(np.stack([size_f, pos_f, 2.0 * pos_f * (size_f - pos_f) / size_f]),
+                        lengths, axis=1)
+        sides = np.empty((2, 2, total))                # (left, right) x (rows, positives)
+        sides[0, 0], sides[0, 1] = flat[at], flat[at + width]
         np.subtract(tot[:2], sides[0], out=sides[1])
         side_n, side_pos = sides[:, 0], sides[:, 1]
         gini = 2.0 * side_pos * (side_n - side_pos) / side_n
         gains = tot[2] - (gini[0] + gini[1])
         gains[side_n.min(axis=0) < nodesize] = -np.inf
-        lo = 0
-        for i, length in zip(open_, lengths):
-            hi = lo + length
-            if length:
-                best = lo + int(gains[lo:hi].argmax())
-                gain = float(gains[best])
-                if gain > 0.0:
-                    node, node_rows, size, pos = nodes[i]
-                    heapq.heappush(heap, (-gain, next(counter), idx[best] - i * width,
-                                          node, node_rows, size, pos, hist[:, i]))
-            lo = hi
+        # Each node's winner: its segment's max, at the segment's first hit.
+        scored = lengths > 0
+        lengths, first = lengths[scored], (np.cumsum(lengths) - lengths)[scored]
+        best = np.maximum.reduceat(gains, first)
+        hits = np.where(gains == np.repeat(best, lengths), np.arange(total), total)
+        winners = np.minimum.reduceat(hits, first)
+        for i, k, gain in zip(open_[scored].tolist(), cols[winners].tolist(), best.tolist()):
+            if gain > 0.0:
+                t = trees[i]
+                node, node_rows, node_size, node_pos = nodes[i]
+                heapq.heappush(heaps[t], (-gain, next(counters[t]), k, node, node_rows,
+                                          node_size, node_pos, hist[i].copy()))
 
-    consider([(0, np.flatnonzero(w), n, positives[0])])
-    while heap and len(splits) + 1 < maxnodes:
-        neg_gain, _, k, node, rows, size, pos, hist = heapq.heappop(heap)
-        j = int(feature[k])
-        importances[j] += -neg_gain
-        left = len(sizes)
-        splits.append((node, j, coded.threshold(j, k, hist[0]), left))
-        go_left = below[rows, k] > 0
-        size_l, pos_l = int(hist[0, k]), int(hist[1, k])
-        sizes += [size_l, size - size_l]
-        positives += [pos_l, pos - pos_l]
-        consider([(left, rows[go_left], size_l, pos_l),
-                  (left + 1, rows[~go_left], size - size_l, pos - pos_l)], hist)
+    consider(list(range(len(rngs))), [(0, np.flatnonzero(row), n, positives[t][0])
+                                      for t, row in enumerate(w)], None)
+    while True:
+        popped = [(t, heapq.heappop(heap)) for t, heap in enumerate(heaps)
+                  if heap and len(splits[t]) + 1 < maxnodes]
+        if not popped:
+            break
+        ks = [entry[2] for _, entry in popped]
+        node_rows = [entry[4] for _, entry in popped]
+        go_left = below[np.concatenate(node_rows), np.repeat(ks, [r.size for r in node_rows])] > 0
+        trees, children, parents = [], [], []
+        lo = 0
+        for t, (neg_gain, _, k, node, rows, size, pos, hist) in popped:
+            j = int(feature[k])
+            importances[t][j] += -neg_gain
+            left = len(sizes[t])
+            threshold = coded.fixed[k] if k in coded.fixed else coded.threshold(j, k, hist[0])
+            splits[t].append((node, j, threshold, left))
+            size_l, pos_l = int(hist[0, k]), int(hist[1, k])
+            sizes[t] += [size_l, size - size_l]
+            positives[t] += [pos_l, pos - pos_l]
+            here = go_left[lo:lo + rows.size]
+            lo += rows.size
+            trees += [t, t]
+            children += [(left, rows[here], size_l, pos_l),
+                         (left + 1, rows[~here], size - size_l, pos - pos_l)]
+            parents.append(hist)
+        consider(trees, children, parents)
+    return [(_tree(sizes[t], positives[t], splits[t]), np.array(importances[t]))
+            for t in range(len(rngs))]
+
+
+def _tree(sizes, positives, splits) -> Tree:
     m = len(sizes)
     tree = Tree(
         feature=np.full(m, -1, dtype=np.int32),
@@ -221,7 +287,7 @@ def _fit_tree(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rng):
         tree.threshold[nodes] = thresholds
         tree.left[nodes] = lefts
         tree.right[nodes] = np.array(lefts) + 1
-    return tree, np.array(importances)
+    return tree
 
 
 def fit_random_forest(
@@ -247,14 +313,15 @@ def fit_random_forest(
     if n > MAX_ROWS:
         raise ValueError(f"{n} training rows exceed the {MAX_ROWS} a tree can count exactly")
     coded = _CodedMatrix(X)
+    children = seed_sequence(seed).spawn(ntree)
     trees = []
     importances = np.zeros(d)
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 on empty sides, masked
-        for child in seed_sequence(seed).spawn(ntree):
-            rng = np.random.Generator(np.random.PCG64(child))
-            tree, partial = _fit_tree(coded, y, mtry, nodesize, maxnodes, rng)
-            trees.append(tree)
-            importances += partial
+        for b in range(0, ntree, _BLOCK_TREES):
+            rngs = [np.random.Generator(np.random.PCG64(c)) for c in children[b:b + _BLOCK_TREES]]
+            for tree, partial in _fit_trees(coded, y, mtry, nodesize, maxnodes, rngs):
+                trees.append(tree)
+                importances += partial
     total = importances.sum()
     if total > 0:
         importances = importances / total
@@ -269,24 +336,35 @@ def fit_random_forest(
     )
 
 
-def _tree_scores(tree: Tree, X) -> np.ndarray:
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    for _ in range(len(tree.feature)):
-        active = np.flatnonzero(tree.feature[node] >= 0)
-        if active.size == 0:
-            break
+def _block_scores(trees: list[Tree], X) -> np.ndarray:
+    """Each tree's scores of the rows of X, shape (trees, rows), from one
+    walk over every (tree, row) pair through the trees' concatenated nodes."""
+    sizes = [tree.feature.size for tree in trees]
+    offset = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + o for tree, o in zip(trees, offset)])
+    right = np.concatenate([tree.right + o for tree, o in zip(trees, offset)])
+    rows = X.shape[0]
+    node = np.repeat(offset, rows)   # pair p is tree p // rows at row p % rows
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
         cur = node[active]
-        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return tree.value[node]
+        go_left = X[active % rows, feature[cur]] <= threshold[cur]
+        nxt = np.where(go_left, left[cur], right[cur])
+        node[active] = nxt
+        active = active[feature[nxt] >= 0]
+    return np.concatenate([tree.value for tree in trees])[node].reshape(len(trees), rows)
 
 
 def rf_predict_proba(model: RandomForestModel, X) -> np.ndarray:
-    """Mean over trees of leaf positive-class fractions."""
+    """Mean over trees of leaf positive-class fractions, summed in tree
+    order."""
     X = np.asarray(X, dtype=np.float64)
     total = np.zeros(X.shape[0])
-    for tree in model.trees:
-        total += _tree_scores(tree, X)
+    for b in range(0, len(model.trees), _BLOCK_TREES):
+        for scores in _block_scores(model.trees[b:b + _BLOCK_TREES], X):
+            total += scores
     return total / len(model.trees)
 
 

@@ -5,11 +5,12 @@ features path.
 once with a medication signal, and the sha256 of each file it writes is
 pinned. ``stage_episodes`` and ``stage_features`` run on generated claims
 files at two seeds, and once in lenient mode on files with malformed rows
-and with valid rows in unusual spellings (decimal ICD-9 codes, padded
-dates, lower case and non-ASCII-digit CPT codes). The sha256 of
-``admissions.csv`` and ``features.csv`` and the lenient parse's
-``RowError`` list are pinned, so a change to how claims are generated,
-parsed, grouped or featurised that moves one output byte fails here.
+(a CPT code in non-ASCII digits among them) and with valid rows in
+unusual spellings (decimal ICD-9 codes, padded dates, lower case CPT
+codes). The sha256 of ``admissions.csv`` and ``features.csv`` and the
+lenient parse's ``RowError`` list are pinned, so a change to how claims
+are generated, parsed, grouped or featurised that moves one output byte
+fails here.
 """
 
 import hashlib
@@ -33,11 +34,12 @@ EXTRA_MEDICAL = [
     "U000001,X4,2016-03-01,2016-03-02,4280,00000,99231,9",   # 8 fields
     ",X5,2016-03-01,2016-03-02,4280,00000,99231",            # no user
     "U000002,X6,2016-03-01,2016-03-02,,00000,99231",         # no primary diagnosis
-    "U000002,X7, 2016-06-01 ,2016-06-03,428.0, 250.40 ;V45.81;,٩٩٢٣١",
+    "U000002,X7, 2016-06-01 ,2016-06-03,428.0, 250.40 ;V45.81;,٩٩٢٣١",  # non-ASCII CPT
     "U000002,X8,2016-06-02,2016-06-02,v4581,403.91,99283",
     "U000002,X9,2016-06-03,2016-06-04,e8889,586,0001f",
     "U000003,X10,2016-09-09,2016-09-12,41401,00000, 99233 ",
     "U000003,X11,2016-09-10,2016-09-10,41401,4280,27130",
+    "U000002,X12, 2016-06-01 ,2016-06-03,428.0, 250.40 ;V45.81;,99231",
 ]
 EXTRA_PHARMACY = [
     "U000002,Y1,2016-06-02,12345678901",                    # 11 digits
@@ -77,6 +79,7 @@ LENIENT_ERRORS = {
         (2908, "expected 7 fields, got 8"),
         (2909, "missing user_id"),
         (2910, "missing primary_diagnosis"),
+        (2911, "bad CPT code '٩٩٢٣١' (expected 5 characters)"),
     ],
     "pharmacy": [
         (1183, "NDC code '12345678901' longer than 10 digits"),

@@ -10,7 +10,7 @@ from readmit.dataset import one_hot_encode
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
 from readmit.models import fit_random_forest, rf_importances, rf_predict_proba
-from readmit.models.forest import Tree, _CodedMatrix, _tree_scores
+from readmit.models.forest import RandomForestModel, Tree, _CodedMatrix, _fit_trees
 from readmit.seeding import seed_sequence
 from readmit.synth import GeneratorConfig, generate
 
@@ -140,12 +140,16 @@ class TestStructuralInvariants:
         total = model.importances.sum()
         assert abs(total - 1.0) < 1e-12 if split_anywhere else total == 0.0
 
-    def test_forest_prediction_is_mean_of_trees(self):
+    @pytest.mark.parametrize("ntree", [7, 70])
+    def test_forest_prediction_is_mean_of_trees(self, ntree):
+        # 70 trees span three scoring blocks; the sum runs in tree order
         X, y = xor_data(100, seed=2)
-        model = fit_random_forest(X, y, ntree=7, mtry=2, nodesize=1,
+        model = fit_random_forest(X, y, ntree=ntree, mtry=2, nodesize=1,
                                   maxnodes=50, seed=13)
-        per_tree = np.stack([_tree_scores(t, X) for t in model.trees])
-        assert np.array_equal(rf_predict_proba(model, X), per_tree.mean(axis=0))
+        total = np.zeros(X.shape[0])
+        for tree in model.trees:
+            total += tree.value[_leaf_index(tree, X)]
+        assert np.array_equal(rf_predict_proba(model, X), total / ntree)
 
     def test_probabilities_bounded(self):
         X, y = xor_data(80, seed=3)
@@ -154,6 +158,55 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(0)
         probs = rf_predict_proba(model, rng.normal(size=(50, 2)) * 10)
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+
+
+def _assert_same_tree(a, b):
+    for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestLockstep:
+    """Trees grown together in blocks equal trees grown alone."""
+
+    @pytest.mark.parametrize("ntree", [1, 31, 32, 33])
+    def test_smaller_forest_is_prefix_of_larger(self, ntree):
+        rng = np.random.default_rng(83)
+        X = np.column_stack([rng.integers(0, 2, (240, 4)), rng.integers(0, 5, (240, 2)),
+                             rng.normal(size=240).round(1)]).astype(float)
+        y = (rng.random(240) < 0.15 + 0.4 * X[:, 0]).astype(int)
+        params = dict(mtry=3, nodesize=2, maxnodes=20, seed=89)
+        full = fit_random_forest(X, y, ntree=70, **params)
+        part = fit_random_forest(X, y, ntree=ntree, **params)
+        assert len(part.trees) == ntree
+        for a, b in zip(part.trees, full.trees):
+            _assert_same_tree(a, b)
+
+    @given(st.data())
+    def test_block_mates_equal_trees_grown_alone(self, data):
+        # Tiny designs, so trees often stop early: a pure bootstrap,
+        # maxnodes 1 or every column constant.
+        n = data.draw(st.integers(1, 30), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        levels = data.draw(st.integers(1, 3), label="levels")
+        X = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=n * d,
+                                        max_size=n * d)), dtype=float).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        ntree = data.draw(st.integers(1, 40), label="ntree")
+        params = dict(mtry=data.draw(st.integers(1, d)), nodesize=data.draw(st.integers(1, 4)),
+                      maxnodes=data.draw(st.sampled_from([1, 2, 3, 8])))
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        model = fit_random_forest(X, y, ntree=ntree, seed=seed, **params)
+        coded = _CodedMatrix(X)
+        importances = np.zeros(d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for tree, child in zip(model.trees, seed_sequence(seed).spawn(ntree), strict=True):
+                rng = np.random.Generator(np.random.PCG64(child))
+                [(alone, partial)] = _fit_trees(coded, y, rngs=[rng], **params)
+                _assert_same_tree(tree, alone)
+                importances += partial
+        if importances.sum() > 0:
+            importances /= importances.sum()
+        assert np.array_equal(model.importances, importances)
 
 
 class TestPrediction:
@@ -166,7 +219,9 @@ class TestPrediction:
             value=np.array([1.0]),
             n_samples=np.array([10], dtype=np.int32),
         )
-        assert np.all(_tree_scores(tree, np.zeros((4, 3))) == 1.0)
+        model = RandomForestModel(trees=[tree], ntree=1, mtry=1, nodesize=1, maxnodes=1,
+                                  seed=0, importances=np.zeros(3))
+        assert np.all(rf_predict_proba(model, np.zeros((4, 3))) == 1.0)
 
     def test_two_tree_vote_averages(self):
         def constant_tree(v):
@@ -178,7 +233,6 @@ class TestPrediction:
                 value=np.array([v]),
                 n_samples=np.array([5], dtype=np.int32),
             )
-        from readmit.models.forest import RandomForestModel
         model = RandomForestModel(
             trees=[constant_tree(1.0), constant_tree(0.0)],
             ntree=2, mtry=1, nodesize=1, maxnodes=1, seed=0,

@@ -241,6 +241,26 @@ class TestCliExitCodes:
         assert main(["episodes", "--medical", str(bad), "--lenient",
                      "--out", str(tmp_path / "o2")]) == 0
 
+    # An inpatient CPT (99231) in Arabic-Indic digits: str.isalnum() accepts it.
+    NON_ASCII_CPT_ROW = "User3,C9,2017-01-01,2017-01-02,4280,00000,٩٩٢٣١\n"
+
+    def test_non_ascii_cpt_strict_exit_4(self, tmp_path, worked_example_files, capsys):
+        bad = tmp_path / "medical_claims.csv"
+        bad.write_text(worked_example_files["medical"].read_text() + self.NON_ASCII_CPT_ROW)
+        assert main(["episodes", "--medical", str(bad), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "line 9: bad CPT code" in err and "Traceback" not in err
+
+    def test_non_ascii_cpt_lenient_skipped_and_counted(self, tmp_path, worked_example_files,
+                                                       capsys):
+        bad = tmp_path / "medical_claims.csv"
+        bad.write_text(worked_example_files["medical"].read_text() + self.NON_ASCII_CPT_ROW)
+        out = tmp_path / "o"
+        assert main(["episodes", "--medical", str(bad), "--lenient", "--out", str(out)]) == 0
+        assert "file=medical skipped=1" in capsys.readouterr().err
+        admissions = (out / "episodes" / "admissions.csv").read_text().splitlines()[1:]
+        assert admissions and not any(line.startswith("User3,") for line in admissions)
+
     def test_empty_grid_exit_5(self, tmp_path, worked_example_files):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"rf_grid": {"ntree": []}}))
@@ -266,6 +286,8 @@ class TestCliExitCodes:
                      "line 4: expected 15 fields", id="extra-field"),
         pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,x,00,0,0,Others,0,3;44,false",
                      "line 4: los_days", id="los_days-x"),
+        pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,١٢,00,0,0,Others,0,3;44,false",
+                     "line 4: los_days", id="los_days-non-ascii"),
         pytest.param(4, "U2,A2,CHF,M,Touch,White,Noncore,1,00,0,0,Others,0,3;44,yes",
                      "line 4: readmitted_within_30d", id="label-yes"),
         pytest.param(4, "U2,A2,CHF,X,Touch,White,Noncore,1,00,0,0,Others,0,3;44,false",
