@@ -3,10 +3,12 @@
 Each tree trains on a seeded bootstrap sample (n draws with replacement).
 Nodes are grown best-first by Gini impurity decrease so the terminal-node
 budget (``maxnodes``) binds exactly; candidate splits consider ``mtry``
-features sampled without replacement per node, with thresholds at midpoints
-between adjacent distinct sorted values, and both children must keep at
-least ``nodesize`` bootstrap rows. Gini importances accumulate the weighted
-impurity decrease per split feature and are normalized to sum to one.
+features sampled without replacement per node (the columns of the node's
+``mtry`` smallest of ``d`` uniform keys, in key order), with thresholds at
+midpoints between adjacent distinct sorted values, and both children must
+keep at least ``nodesize`` bootstrap rows. Gini importances accumulate the
+weighted impurity decrease per split feature and are normalized to sum to
+one.
 
 Trees are grown by counting, not by copying rows:
 
@@ -29,11 +31,18 @@ Trees are grown by counting, not by copying rows:
   earliest drawn feature wins a tie.
 
 Lockstep growth changes no tree. Each tree keeps its own generator and
-draws in the order it would alone: its bootstrap, its root's features,
-then the left and then the right child of each split, in split order. Its
-heap, tie counter, importances and histograms are its own, and the float32
-sums are exact in any order (below). So a tree grown in a block is the
-tree grown alone, and a smaller forest is a prefix of a larger one.
+draws in the order it would alone: its bootstrap, then one row of ``d``
+double keys per created node (closed nodes too), for its root and then for
+the left and the right child of each split, in split order. A round takes
+each tree's rows in one ``random((k, d))`` call, k being 1 at the root and
+2 for a split's children, and ranks the keys of every open node of the
+round in one sort. A double costs one 64-bit output of the stream, so node
+i's keys depend only on the nodes created before it. The tree's heap, tie
+counter, importances and histograms are its own, and the float32 sums are
+exact in any order (below). So a tree grown in a block is the tree grown
+alone, a smaller forest is a prefix of a larger one, and the tree grown to
+a smaller ``maxnodes`` is the larger-budget tree cut after its first
+splits: the same first nodes, where a node split later is a leaf.
 
 Memory bounds the block: every queued node holds its own (2, C) float32
 histogram, ~1.5 KB at readmit's C ~ 190, and a tree queues at most about
@@ -60,10 +69,10 @@ Per-call overhead, not arithmetic, bounds a split: on 7,200 rows a tree
 grown on its own pays ~100 us per split, of which the histogram product
 is ~15 us. So the numpy calls of a round serve the whole block, and
 ``np.errstate`` is entered once per fit. In a 32-tree block a split costs
-~75-90 us: the small child's row gather and product ~25-30 us, the two
-children's feature draws (one ``Generator.choice`` each, which no block
-can share) ~25 us, routing the rows ~10 us, and scoring and queueing ~10
-us; the rest is Python bookkeeping per split.
+~60-70 us: the small child's row gather and product ~25-30 us, the two
+children's key rows and their share of the round's sort ~5-7 us,
+routing the rows ~10 us, and scoring and queueing ~10 us; the rest is
+Python bookkeeping per split.
 """
 
 from __future__ import annotations
@@ -161,6 +170,18 @@ class _CodedMatrix:
         return threshold
 
 
+def _drawn_columns(keys, mtry: int) -> np.ndarray:
+    """The columns of each row's ``mtry`` smallest keys, smallest first.
+    Keys are doubles in [0, 1), which sort as their int64 views; with its
+    column in the low bits every key of a row is distinct, so an exact tie
+    goes to the lower column whatever the sort."""
+    column_bits = (1 << keys.shape[1].bit_length()) - 1
+    ranked = keys.view(np.int64) & ~column_bits
+    ranked |= np.arange(keys.shape[1])
+    ranked.sort(axis=1)
+    return ranked[:, :mtry] & column_bits
+
+
 def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
     """Grow one tree per generator in ``rngs``, all in lockstep rounds, and
     return each tree with its importances, in ``rngs`` order."""
@@ -182,7 +203,8 @@ def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
         one. ``nodes`` are roots (``parents`` None) or sibling pairs, left
         then right, whose parent histograms ``parents`` holds. Ties go to
         the earliest drawn feature, then to the lowest value."""
-        feats = np.array([rngs[t].choice(d, size=mtry, replace=False) for t in trees])
+        per_tree = 1 if parents is None else 2
+        keys = np.concatenate([rngs[t].random((per_tree, d)) for t in trees[::per_tree]])
         size = np.array([node[2] for node in nodes])
         pos = np.array([node[3] for node in nodes])
         open_ = np.flatnonzero((size >= 2 * nodesize) & (0 < pos) & (pos < size))
@@ -206,7 +228,7 @@ def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
         # rank needs no test of its own: its split equals that of the
         # nearest non-empty rank below it, which wins the tie, or leaves no
         # rows on the left and is invalid.
-        drawn = feats[open_].ravel()
+        drawn = _drawn_columns(keys[open_], mtry).ravel()
         per_draw = coded.widths[drawn]
         lengths = per_draw.reshape(open_.size, mtry).sum(axis=1)
         total = int(lengths.sum())

@@ -2,8 +2,14 @@
 
 Every configuration in the Cartesian product is scored by mean validation
 AUC over the same fold set; the winner is the maximal mean, ties broken by
-earliest grid position. Per-(configuration, fold) seeds derive from the
-master seed so results do not depend on evaluation order or worker count.
+earliest grid position. Each (configuration, fold) seed derives from the
+master seed and the tags the evaluator's ``seed_tags`` gives, so results do
+not depend on evaluation order or worker count. An SVM cell's tags are its
+grid index and fold. A forest cell's are its (mtry, nodesize) and fold:
+cells that differ only in ntree or maxnodes share their seed, so of two
+such forests the one with fewer trees is a prefix of the other and each
+tree with the smaller budget is a budget prefix of its larger-budget tree
+(``forest.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..evaluation import auc_score
-from ..seeding import GRID_STREAM, derive_seed
+from ..seeding import FOREST_GRID_STREAM, GRID_STREAM, derive_seed
 from ..textio import write_csv
 from .forest import fit_random_forest, rf_predict_proba
 from .svm import fit_linear_svm, svm_decision_scores
@@ -54,10 +60,20 @@ def svm_fold_auc(X, y, fit_idx, val_idx, params: dict, seed: int) -> float:
     return auc_score(svm_decision_scores(model, X[val_idx]), y[val_idx])
 
 
+# A (configuration, fold) seeds from its evaluator's ``seed_tags``: an
+# attribute, not an identity test, so a wrapper made with functools.wraps
+# seeds as the function it wraps.
+rf_fold_auc.seed_tags = lambda params, config_index, fold_index: (
+    FOREST_GRID_STREAM, params["mtry"], params["nodesize"], fold_index)
+svm_fold_auc.seed_tags = lambda params, config_index, fold_index: (
+    GRID_STREAM, config_index, fold_index)
+
+
 def _eval_config(config_index, *, evaluator, X, y, folds, configs, seed):
+    params = configs[config_index]
     return [
-        evaluator(X, y, fit_idx, val_idx, configs[config_index],
-                  derive_seed(seed, GRID_STREAM, config_index, fold_index))
+        evaluator(X, y, fit_idx, val_idx, params,
+                  derive_seed(seed, *evaluator.seed_tags(params, config_index, fold_index)))
         for fold_index, (fit_idx, val_idx) in enumerate(folds)
     ]
 

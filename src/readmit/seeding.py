@@ -16,6 +16,7 @@ FOREST_STREAM = 3
 SVM_STREAM = 4
 GENERATOR_STREAM = 5
 GRID_STREAM = 6
+FOREST_GRID_STREAM = 7
 
 
 def rng_for(seed: int, *tags: int) -> np.random.Generator:

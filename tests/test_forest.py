@@ -10,7 +10,9 @@ from readmit.dataset import one_hot_encode
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
 from readmit.models import fit_random_forest, rf_importances, rf_predict_proba
-from readmit.models.forest import RandomForestModel, Tree, _CodedMatrix, _fit_trees
+from readmit.models.forest import (
+    RandomForestModel, Tree, _CodedMatrix, _drawn_columns, _fit_trees,
+)
 from readmit.seeding import seed_sequence
 from readmit.synth import GeneratorConfig, generate
 
@@ -209,6 +211,56 @@ class TestLockstep:
         assert np.array_equal(model.importances, importances)
 
 
+def _best_drawn_feature(X, y, w, drawn, nodesize):
+    """The feature of a node's best split by brute force, over the drawn
+    features in draw order (a tie keeps the earlier), or -1 if the node
+    stays a leaf; ``w`` holds the node's bootstrap multiplicities."""
+    size, pos = w.sum(), (w * y).sum()
+    if size < 2 * nodesize or pos in (0, size):
+        return -1
+    parent = 2.0 * pos * (size - pos) / size
+    best, best_gain = -1, 0.0
+    for j in drawn:
+        for v in np.unique(X[w > 0, j])[:-1]:
+            left = X[:, j] <= v
+            n_l, p_l = w[left].sum(), (w * y)[left].sum()
+            n_r, p_r = size - n_l, pos - p_l
+            if min(n_l, n_r) < nodesize:
+                continue
+            gain = parent - (2.0 * p_l * (n_l - p_l) / n_l + 2.0 * p_r * (n_r - p_r) / n_r)
+            if gain > best_gain:
+                best, best_gain = j, gain
+    return best
+
+
+class TestKeyedDraws:
+    """A node draws the ``mtry`` columns of its smallest keys, one row of
+    ``d`` keys per created node from its tree's stream."""
+
+    def test_exact_key_ties_go_to_the_lower_column(self):
+        keys = np.array([[0.5, 0.25, 0.5, 0.0], [0.75, 0.75, 0.75, 0.75]])
+        assert _drawn_columns(keys, 3).tolist() == [[3, 1, 0], [0, 1, 2]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_root_and_its_children_split_on_their_drawn_features(self, seed):
+        rng = np.random.default_rng(97)
+        X = rng.normal(size=(60, 6)).round(1)
+        y = (rng.random(60) < 0.5).astype(int)
+        mtry, nodesize = 2, 1
+        model = fit_random_forest(X, y, ntree=1, mtry=mtry, nodesize=nodesize,
+                                  maxnodes=10_000, seed=seed)
+        tree = model.trees[0]
+        stream = np.random.Generator(np.random.PCG64(seed_sequence(seed).spawn(1)[0]))
+        w = np.bincount(stream.integers(0, 60, 60), minlength=60)
+        root_keys = stream.random(6)
+        assert tree.feature[0] == _best_drawn_feature(X, y, w, np.argsort(root_keys)[:mtry],
+                                                      nodesize)
+        left = X[:, tree.feature[0]] <= tree.threshold[0]
+        for node, keys, side in zip((1, 2), stream.random((2, 6)), (left, ~left)):
+            assert tree.feature[node] == _best_drawn_feature(
+                X, y, w * side, np.argsort(keys)[:mtry], nodesize)
+
+
 class TestPrediction:
     def test_single_pure_leaf_tree(self):
         tree = Tree(
@@ -380,12 +432,12 @@ def _golden_gain_ties():
 # sha256 of the saved rf_best model file; a change to tree growth that
 # keeps these digests keeps every model file byte for byte.
 GOLDEN_MODEL_SHA256 = {
-    "xor": "2a0252b704c7f4bc569e453b8c1918846265bba9195b5fe7182a3b958d2f815f",
-    "tied_integers": "34fb21255f462210c321498b03fc43ea7357136eeeec9913879c5099a2df2f41",
-    "maxnodes_binding": "0bc16f154c79738777a813ffbc8d392c7c00cf97ddea4089d40bc06a5826a884",
+    "xor": "6ad6e4d0f8bd3168d3c836da04132ae3da54e273f537060b5f5fec38a0ea346f",
+    "tied_integers": "570ce9b6f438e991e63033e6543c08a1964dc62f35251cc92b0fbd4eb73b3e28",
+    "maxnodes_binding": "9d0701010205e50bac4881f4015a1908b953e644fafce5ef624ebf170b17ac75",
     "single_class": "867743c7fe9f9c659ed65db40738af703f1f77c5187c9a4590660b51d077e64e",
-    "design_matrix": "93742a7bb6fa82227eb46e492bf4860d3e52b57467ea88b7bb034e3f841da5be",
-    "gain_ties": "66c46468bd7e9abaaf7d059feae9c846ef0400daab197787d3ff7efe053ac41c",
+    "design_matrix": "c2c53da69b9daa05c7eb14bc38ff485230b33814eb521573b3b974cbc03d2eb8",
+    "gain_ties": "41791e8aa2e7ad37efd994a805de6cd38a5be6be8a0b889b6185952528e064f5",
 }
 GOLDEN_CASES = {
     "xor": _golden_xor,

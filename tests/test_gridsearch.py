@@ -6,9 +6,10 @@ import pytest
 from readmit.dataset import stratified_kfold
 from readmit.errors import ConfigError
 from readmit.models import (
-    expand_grid, grid_search, rf_fold_auc, svm_fold_auc, write_grid_csv,
+    expand_grid, grid_search, gridsearch, rf_fold_auc, svm_fold_auc, write_grid_csv,
 )
 from readmit.pipeline import DEFAULT_RF_GRID, DEFAULT_SVM_C_GRID
+from readmit.seeding import FOREST_GRID_STREAM, GRID_STREAM, derive_seed
 
 
 def small_problem(seed=0, n=120):
@@ -68,6 +69,71 @@ def test_results_independent_of_jobs():
     parallel = grid_search(rf_fold_auc, grid, X, y, folds, seed=8, jobs=2)
     assert np.array_equal(serial.fold_aucs, parallel.fold_aucs)
     assert serial.winner_index == parallel.winner_index
+
+
+def _captured(monkeypatch, name):
+    """Every value returned through ``gridsearch.<name>``, in call order."""
+    returned, original = [], getattr(gridsearch, name)
+
+    def capture(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(gridsearch, name, capture)
+    return returned
+
+
+def _assert_budget_prefix(small, large):
+    """``small`` is ``large`` cut after the small tree's splits: the same
+    first nodes, where a node the large tree split later is a leaf."""
+    splits = int((small.feature >= 0).sum())
+    m = small.feature.size
+    assert m == 2 * splits + 1
+    # split k creates nodes 2k+1 and 2k+2, so a node's split order is
+    # (left - 1) // 2
+    later = (large.feature[:m] >= 0) & ((large.left[:m] - 1) // 2 >= splits)
+    assert np.array_equal(small.feature, np.where(later, -1, large.feature[:m]))
+    assert np.array_equal(small.threshold, np.where(later, 0.0, large.threshold[:m]))
+    assert np.array_equal(small.left, np.where(later, -1, large.left[:m]))
+    assert np.array_equal(small.right, np.where(later, -1, large.right[:m]))
+    assert np.array_equal(small.value, large.value[:m])
+    assert np.array_equal(small.n_samples, large.n_samples[:m])
+
+
+def test_forest_cells_nest_over_ntree_and_maxnodes(monkeypatch):
+    # Cells that differ only in ntree or maxnodes share a seed per fold, so
+    # fewer trees are a prefix and a smaller budget a budget prefix.
+    X, y = small_problem(seed=12, n=160)
+    folds = stratified_kfold(y, 2, seed=13)
+    forests = _captured(monkeypatch, "fit_random_forest")
+    grid = {"ntree": [2, 5], "mtry": [2], "nodesize": [1], "maxnodes": [4, 8]}
+    grid_search(rf_fold_auc, grid, X, y, folds, seed=14)
+    fitted = {(f.ntree, f.maxnodes, fold): f
+              for f, fold in zip(forests, [0, 1] * len(expand_grid(grid)), strict=True)}
+    for (_, _, fold), forest in fitted.items():
+        assert forest.seed == derive_seed(14, FOREST_GRID_STREAM, 2, 1, fold)
+    budget_binds = False
+    for fold in (0, 1):
+        for maxnodes in (4, 8):
+            few, many = fitted[(2, maxnodes, fold)], fitted[(5, maxnodes, fold)]
+            for a, b in zip(few.trees, many.trees[:2], strict=True):
+                for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        for ntree in (2, 5):
+            for a, b in zip(fitted[(ntree, 4, fold)].trees, fitted[(ntree, 8, fold)].trees,
+                            strict=True):
+                _assert_budget_prefix(a, b)
+                budget_binds |= a.feature.size < b.feature.size
+    assert budget_binds
+
+
+def test_svm_cells_keep_their_cell_seeds(monkeypatch):
+    X, y = small_problem(seed=15)
+    folds = stratified_kfold(y, 2, seed=16)
+    models = _captured(monkeypatch, "fit_linear_svm")
+    grid_search(svm_fold_auc, {"C": [0.1, 1.0], "epochs": [2]}, X, y, folds, seed=17)
+    assert [m.seed for m in models] == [derive_seed(17, GRID_STREAM, cell, fold)
+                                        for cell in (0, 1) for fold in (0, 1)]
 
 
 def test_grid_csv_shape():

@@ -555,7 +555,7 @@ class TestPersistence:
         "lr_selected": "28ced7f21e6517974a95ec4156a39a41bcb606de25e980340d1ddca005cb3af4",
         "pca_lr": "430badc73b5a8df98c6030813b1e2a91898d1a10615e933df155bce29466945c",
         "pca_lr_selected": "64309386e346dafe177e89994d3ba50c80ef8a49a5cbcf1ab5af72a1d5db62e1",
-        "rf_best": "83a661eb79cc730b2335d2de036a15e8fa8bd7887e3eb60ce7f85543a14052a6",
+        "rf_best": "a3549efafcfd2b77cae8714ab2bd562d25d5fdb578492a184c282bacb8c06c50",
         "svm_best": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
     }
 
