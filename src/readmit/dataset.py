@@ -112,28 +112,25 @@ def train_test_split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMat
 
 
 def stratified_kfold(y, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition row indices into k validation folds with per-fold positive
-    counts differing by at most one; returns (fit, validation) index pairs.
+    """Partition the row indices of 0/1 labels ``y`` into k validation
+    folds with per-fold positive counts differing by at most one; returns
+    (fit, validation) index pairs, each side ascending.
+
+    The positives, then the negatives, each in a seeded permutation, are
+    dealt to the folds in turn.
     """
     y = np.asarray(y)
     n = len(y)
     if not 2 <= k <= n:
         raise ValueError(f"fold count {k} must be in [2, {n}]")
     rng = rng_for(seed, FOLD_STREAM)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.full(n, -1, dtype=np.intp)
     offset = 0
     for cls in (1, 0):
         idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for j, row in enumerate(idx):
-            folds[(offset + j) % k].append(int(row))
+        fold[idx[rng.permutation(len(idx))]] = (offset + np.arange(len(idx))) % k
         offset += len(idx)
-    out = []
-    for i in range(k):
-        val = np.array(sorted(folds[i]), dtype=np.intp)
-        fit = np.array(sorted(x for j in range(k) if j != i for x in folds[j]), dtype=np.intp)
-        out.append((fit, val))
-    return out
+    return [(np.flatnonzero(fold != i), np.flatnonzero(fold == i)) for i in range(k)]
 
 
 def write_matrix_csv(matrix: FeatureMatrix, dest):

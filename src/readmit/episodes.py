@@ -1,9 +1,9 @@
 """Episode grouping, admission identification, and 30-day readmission labels.
 
 Claims of one user are grouped into an episode while each next claim starts
-strictly less than ``gap_days`` after the episode's running latest service
+strictly less than ``GAP_DAYS`` after the episode's running latest service
 end. Episodes containing at least one inpatient E&M claim are admissions.
-A later admission starting within ``window_days`` of the last retained
+A later admission starting within ``WINDOW_DAYS`` of the last retained
 admission's discharge is removed as a readmission and flips that retained
 admission's label to true; comparisons are always against the last retained
 admission, never against a removed one.
@@ -23,6 +23,9 @@ from .claims import MedicalClaim, group_by_user
 from .codes import CodeMappingConfig
 from .errors import ReadmitError
 from .textio import write_csv
+
+GAP_DAYS = 10       # the paper's episode gap
+WINDOW_DAYS = 30    # the paper's readmission window
 
 ADMISSIONS_COLUMNS = [
     "user_id", "admission_id", "start", "end", "is_ed",
@@ -52,7 +55,8 @@ class LabeledAdmission:
     removed_readmission_ids: tuple[str, ...]
 
 
-def group_claims_into_episodes(claims: list[MedicalClaim], gap_days: int = 10) -> list[Episode]:
+def group_claims_into_episodes(claims: list[MedicalClaim],
+                               gap_days: int = GAP_DAYS) -> list[Episode]:
     """Group one user's claims into episodes under the gap rule.
 
     Claims are sorted by (service_start, service_end, claim_id); a claim
@@ -100,7 +104,6 @@ def filter_admissions(episodes: list[Episode], config: CodeMappingConfig) -> lis
 def label_readmissions(
     admissions: list[Episode],
     config: CodeMappingConfig,
-    window_days: int = 30,
     first_id: int = 1,
 ) -> tuple[list[LabeledAdmission], list[Episode]]:
     """Sweep one user's admissions chronologically, splitting them into
@@ -114,7 +117,7 @@ def label_readmissions(
     removed: list[Episode] = []
     removed_against: dict[str, list[str]] = {}
     for adm in ordered:
-        if retained and (adm.start - retained[-1].end).days <= window_days:
+        if retained and (adm.start - retained[-1].end).days <= WINDOW_DAYS:
             removed.append(adm)
             removed_against.setdefault(retained[-1].episode_id, []).append(adm.episode_id)
         else:
@@ -139,8 +142,6 @@ def label_readmissions(
 def build_labeled_admissions(
     claims: list[MedicalClaim],
     config: CodeMappingConfig,
-    gap_days: int = 10,
-    window_days: int = 30,
 ) -> tuple[list[LabeledAdmission], list[Episode]]:
     """Full chain over all users: group, filter, label, and assign global
     admission ids in (user_id, start) order, the order users are swept in."""
@@ -149,10 +150,10 @@ def build_labeled_admissions(
     labeled: list[LabeledAdmission] = []
     removed: list[Episode] = []
     for user_id in sorted(by_user):
-        episodes = group_claims_into_episodes(by_user[user_id], gap_days)
+        episodes = group_claims_into_episodes(by_user[user_id])
         admissions = filter_admissions(episodes, config)
         user_labeled, user_removed = label_readmissions(
-            admissions, config, window_days, first_id=len(labeled) + 1)
+            admissions, config, first_id=len(labeled) + 1)
         labeled.extend(user_labeled)
         removed.extend(user_removed)
     return labeled, removed

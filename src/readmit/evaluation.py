@@ -101,35 +101,27 @@ def confusion_metrics(scores, labels, threshold: float = 0.5):
 
 
 @dataclass
+class SideMetrics:
+    """One model's metrics on one side (train or test) of the split."""
+
+    auc: float
+    specificity: float | None
+    sensitivity: float | None
+    roc: list[tuple[float, float, float]]
+
+
+def evaluate_side(scores, labels, threshold: float = 0.5) -> SideMetrics:
+    """The AUC, ROC points and rates at ``score >= threshold`` of one side."""
+    sensitivity, specificity = confusion_metrics(scores, labels, threshold)
+    roc, area = roc_auc(scores, labels)
+    return SideMetrics(area, specificity, sensitivity, roc)
+
+
+@dataclass
 class ModelEvaluation:
     name: str
-    train_auc: float
-    test_auc: float
-    train_specificity: float | None
-    test_specificity: float | None
-    train_sensitivity: float | None
-    test_sensitivity: float | None
-    train_roc: list[tuple[float, float, float]]
-    test_roc: list[tuple[float, float, float]]
-
-
-def evaluate_scores(name, train_scores, train_labels, test_scores, test_labels,
-                    threshold: float = 0.5) -> ModelEvaluation:
-    train_sens, train_spec = confusion_metrics(train_scores, train_labels, threshold)
-    test_sens, test_spec = confusion_metrics(test_scores, test_labels, threshold)
-    train_roc, train_auc = roc_auc(train_scores, train_labels)
-    test_roc, test_auc = roc_auc(test_scores, test_labels)
-    return ModelEvaluation(
-        name=name,
-        train_auc=train_auc,
-        test_auc=test_auc,
-        train_specificity=train_spec,
-        test_specificity=test_spec,
-        train_sensitivity=train_sens,
-        test_sensitivity=test_sens,
-        train_roc=train_roc,
-        test_roc=test_roc,
-    )
+    train: SideMetrics
+    test: SideMetrics
 
 
 def build_report(bundles, train, test, threshold: float = 0.5) -> list[ModelEvaluation]:
@@ -141,18 +133,16 @@ def build_report(bundles, train, test, threshold: float = 0.5) -> list[ModelEval
     if set(train.row_ids) & set(test.row_ids):
         raise ValueError("train/test row ids overlap; split is corrupted")
     return [
-        evaluate_scores(name,
-                        bundle.score(train.X, train.column_names), train.y,
-                        bundle.score(test.X, test.column_names), test.y,
-                        threshold)
+        ModelEvaluation(name, *(
+            evaluate_side(bundle.score(side.X, side.column_names), side.y, threshold)
+            for side in (train, test)))
         for name, bundle in bundles.items()
     ]
 
 
-REPORT_COLUMNS = [
-    "type", "train_auc", "test_auc", "train_specificity",
-    "test_specificity", "train_sensitivity", "test_sensitivity",
-]
+SIDES = ("train", "test")
+METRICS = ("auc", "specificity", "sensitivity")
+REPORT_COLUMNS = ["type", *(f"{side}_{metric}" for metric in METRICS for side in SIDES)]
 
 
 def _fmt(value) -> str:
@@ -161,7 +151,8 @@ def _fmt(value) -> str:
 
 def write_report_csv(rows: list[ModelEvaluation], dest):
     write_csv(dest, REPORT_COLUMNS, (
-        [row.name, *(_fmt(getattr(row, column)) for column in REPORT_COLUMNS[1:])]
+        [row.name, *(_fmt(getattr(getattr(row, side), metric))
+                     for metric in METRICS for side in SIDES)]
         for row in rows
     ))
 

@@ -54,12 +54,11 @@ def loglik_feature_select(
     X,
     y,
     significance: float = 0.05,
-    l2_penalty: float = 1e-6,
-    tol: float = 1e-6,
     max_iter: int = 200,
 ) -> Selection:
     """Forward selection over the columns of ``X``; constant columns are
-    skipped."""
+    skipped. Each fit carries a light ridge of 1e-6 and stops at a gradient
+    max-norm below 1e-6."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     usable = [j for j in range(X.shape[1]) if X[:, j].min() != X[:, j].max()]
@@ -70,7 +69,7 @@ def loglik_feature_select(
     def fit(columns, start):
         nonlocal fits
         trial = X[:, columns]
-        model = fit_logistic(trial, y, l2_penalty=l2_penalty, tol=tol,
+        model = fit_logistic(trial, y, l2_penalty=1e-6, tol=1e-6,
                              max_iter=max_iter, start=start)
         fits += 1
         if not model.converged:

@@ -10,7 +10,7 @@ the visited row sequence aligned under dataset duplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,6 @@ class LinearSvmModel:
     seed: int
     means: np.ndarray
     stds: np.ndarray
-    objective_trace: list[float] = field(default_factory=list)
-
-
-def hinge_objective(Z, y_pm, w_aug, C) -> float:
-    margins = 1.0 - y_pm * (Z @ w_aug)
-    return 0.5 * float(w_aug @ w_aug) + C * float(np.maximum(margins, 0.0).sum())
 
 
 def fit_linear_svm(
@@ -59,7 +53,6 @@ def fit_linear_svm(
     rng = rng_for(seed, SVM_STREAM)
     w = np.zeros(d + 1)
     w_avg = np.zeros(d + 1)
-    trace: list[float] = []
     t = 0
     for _ in range(epochs):
         for _ in range(n):
@@ -72,7 +65,6 @@ def fit_linear_svm(
             if hit:
                 w += eta * y_pm[i] * z
             w_avg += (w - w_avg) / t
-        trace.append(hinge_objective(Z, y_pm, w_avg, C))
     return LinearSvmModel(
         weights=w_avg[:d].copy(),
         intercept=float(w_avg[d]),
@@ -81,7 +73,6 @@ def fit_linear_svm(
         seed=seed,
         means=means,
         stds=stds,
-        objective_trace=trace,
     )
 
 

@@ -39,7 +39,7 @@ from .models import (
 )
 from .models.logistic import nll_gradient
 from .models.persist import BUNDLE_KINDS, load_bundle
-from .evaluation import build_report, write_report_csv, write_roc_csv
+from .evaluation import SIDES, build_report, write_report_csv, write_roc_csv
 from .seeding import FOREST_STREAM, derive_seed
 from .synth import GeneratorConfig, SignalSpec, generate
 
@@ -369,52 +369,35 @@ def train_models(cfg: RunConfig, matrix, train, folds):
     svm_grid = {"C": list(cfg.svm_c_grid), "epochs": [cfg.svm_epochs]}
     cols = matrix.column_names
     Xtr, ytr = train.X, train.y
-    lr_fits: dict[str, dict] = {}
-    selections: dict[str, dict] = {}
-
-    def fit_lr(kind, X):
-        model = fit_logistic(X, ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
-        lr_fits[kind] = _fit_report(kind, model, X, ytr)
-        return model
-
-    bundles: dict[str, ModelBundle] = {}
-
-    def add(kind, **parts):
-        bundles[kind] = ModelBundle(kind=kind, column_names=cols, **parts)
-
-    lr_all = fit_lr("lr_all", Xtr)
-    add("lr_all", lr=lr_all)
-
     selection = loglik_feature_select(Xtr, ytr, cfg.selection_significance)
-    selections["lr_selected"] = _selection_report(selection, cols)
-    selected_idx = selection.columns
-    selected_names = [cols[i] for i in selected_idx]
-    lr_sel = fit_lr("lr_selected", Xtr[:, selected_idx])
-    add("lr_selected", selected_columns=selected_names, lr=lr_sel)
-
-    pca_all = fit_pca(Xtr, cfg.pca_variance_target)
-    lr_pca = fit_lr("pca_lr", pca_transform(pca_all, Xtr))
-    add("pca_lr", pca=pca_all, lr=lr_pca)
-
-    if not selected_idx:
-        raise ConfigError(
-            "feature selection kept no columns; cannot build the "
-            "selected-features PCA model"
-        )
-    pca_sel = fit_pca(Xtr[:, selected_idx], cfg.pca_variance_target)
-    lr_pca_sel = fit_lr("pca_lr_selected", pca_transform(pca_sel, Xtr[:, selected_idx]))
-    add("pca_lr_selected", selected_columns=selected_names, pca=pca_sel, lr=lr_pca_sel)
+    selections = {"lr_selected": _selection_report(selection, cols)}
+    if not selection.columns:
+        raise ConfigError("feature selection kept no columns; cannot build the "
+                          "selected-features models")
+    selected_names = [cols[i] for i in selection.columns]
+    bundles: dict[str, ModelBundle] = {}
+    lr_fits: dict[str, dict] = {}
+    # The logistic variants: (kind, fit on the selected columns, fit through a PCA).
+    for kind, selected, reduced in (("lr_all", False, False), ("lr_selected", True, False),
+                                    ("pca_lr", False, True), ("pca_lr_selected", True, True)):
+        X = Xtr[:, selection.columns] if selected else Xtr
+        pca = fit_pca(X, cfg.pca_variance_target) if reduced else None
+        X = pca_transform(pca, X) if reduced else X
+        lr = fit_logistic(X, ytr, cfg.lr_l2, cfg.lr_tol, cfg.lr_max_iter)
+        lr_fits[kind] = _fit_report(kind, lr, X, ytr)
+        bundles[kind] = ModelBundle(kind=kind, column_names=cols, pca=pca, lr=lr,
+                                    selected_columns=selected_names if selected else None)
 
     rf_result = grid_search(rf_fold_auc, cfg.rf_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
     rf_best = fit_random_forest(Xtr, ytr, seed=derive_seed(cfg.seed, FOREST_STREAM),
                                 **rf_result.winner)
-    add("rf_best", rf=rf_best)
+    bundles["rf_best"] = ModelBundle(kind="rf_best", column_names=cols, rf=rf_best)
 
     svm_result = grid_search(svm_fold_auc, svm_grid, Xtr, ytr, folds, cfg.seed, cfg.jobs)
     svm_best = fit_linear_svm(Xtr, ytr, seed=cfg.seed, **svm_result.winner)
-    add("svm_best", svm=svm_best)
+    bundles["svm_best"] = ModelBundle(kind="svm_best", column_names=cols, svm=svm_best)
 
-    pca_facts = {kind: _pca_report(bundles[kind].pca) for kind in ("pca_lr", "pca_lr_selected")}
+    pca_facts = {kind: _pca_report(b.pca) for kind, b in bundles.items() if b.pca is not None}
     diagnostics = {"lr_fits": lr_fits, "selection": selections, "pca": pca_facts}
     return bundles, rf_result, svm_result, diagnostics
 
@@ -489,10 +472,12 @@ def stage_train(cfg: RunConfig, out_root: Path, features_path: Path | None = Non
     out_dir = out_root / "models"
     matrix = _build_matrix(cfg, out_root, features_path)
     train, test = train_test_split(matrix, cfg.split_spec())
+    if cfg.fold_count > train.n_rows:
+        raise ConfigError(f"fold_count {cfg.fold_count} exceeds the {train.n_rows} training rows")
     folds = stratified_kfold(train.y, cfg.fold_count, cfg.seed)
     _check_class_balance(train, test, folds)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundles, rf_result, svm_result, diagnostics = train_models(cfg, matrix, train, folds)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for kind, bundle in bundles.items():
         save_bundle(bundle, out_dir / f"{kind}.model")
     write_grid_csv(rf_result, out_dir / "rf_grid.csv")
@@ -516,15 +501,16 @@ def stage_evaluate(
     _require(models_dir, "models directory")
     matrix = _build_matrix(cfg, out_root, features_path)
     train, test = _read_split_manifest(cfg, matrix, models_dir / "split_manifest.json")
-    bundles = {
-        kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
-        for kind in BUNDLE_KINDS
-    }
+    bundles = {kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
+               for kind in BUNDLE_KINDS}
+    for kind, bundle in bundles.items():
+        if bundle.kind != kind:
+            raise ParseError(f"{models_dir / kind}.model holds a {bundle.kind} model, not {kind}")
     rows = build_report(bundles, train, test, cfg.threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in rows:
-        write_roc_csv(row.train_roc, out_dir / f"roc_{row.name}_train.csv")
-        write_roc_csv(row.test_roc, out_dir / f"roc_{row.name}_test.csv")
+        for side in SIDES:
+            write_roc_csv(getattr(row, side).roc, out_dir / f"roc_{row.name}_{side}.csv")
     write_report_csv(rows, out_dir / "report.csv")
     _write_manifest(cfg, "evaluate", out_dir)
     _log("evaluate", models=len(rows), threshold=cfg.threshold)

@@ -207,6 +207,10 @@ def generate(config: GeneratorConfig) -> SyntheticData:
     frac = config.mean_admissions_per_user - base
     comorb_signals = [s for s in config.signals if s.kind == "comorbidity"]
     med_signals = [s for s in config.signals if s.kind == "medication"]
+    # Stray claims: (rate, earliest day after last_end, end-day choices, CPT pool).
+    # One end-day choice draws integers(0, 1), which takes nothing from the stream.
+    strays = ((config.noise_claim_rate, 10, 2, _OFFICE_CPTS),
+              (config.hospital_visit_rate, 16, 1, _HOSPITAL_VISIT_CPTS))
 
     data = SyntheticData([], [], [], [])
     for u in range(config.n_users):
@@ -274,29 +278,18 @@ def generate(config: GeneratorConfig) -> SyntheticData:
                              last_end + timedelta(days=10))
             next_start += timedelta(days=int(rng.integers(10, _SPACING_MAX + 1)))
 
-            if rng.random() < config.noise_claim_rate:
-                t = last_end + timedelta(days=10 + int(rng.integers(0, 5)))
-                if (next_start - t).days >= 11:
-                    data.medical.append(MedicalClaim(
-                        user_id=user_id,
-                        claim_id=f"{user_id}-C{next(claim_counter)}",
-                        service_start=t,
-                        service_end=t + timedelta(days=int(rng.integers(0, 2))),
-                        primary_diagnosis=_random_icd9(rng),
-                        other_diagnoses=(),
-                        cpt_code=_OFFICE_CPTS[rng.integers(0, len(_OFFICE_CPTS))],
-                    ))
-            if rng.random() < config.hospital_visit_rate:
-                t = last_end + timedelta(days=16 + int(rng.integers(0, 5)))
-                if (next_start - t).days >= 11:
-                    data.medical.append(MedicalClaim(
-                        user_id=user_id,
-                        claim_id=f"{user_id}-C{next(claim_counter)}",
-                        service_start=t,
-                        service_end=t,
-                        primary_diagnosis=_random_icd9(rng),
-                        other_diagnoses=(),
-                        cpt_code=_HOSPITAL_VISIT_CPTS[rng.integers(0, len(_HOSPITAL_VISIT_CPTS))],
-                    ))
+            for rate, offset, stay, cpts in strays:
+                if rng.random() < rate:
+                    t = last_end + timedelta(days=offset + int(rng.integers(0, 5)))
+                    if (next_start - t).days >= 11:
+                        data.medical.append(MedicalClaim(
+                            user_id=user_id,
+                            claim_id=f"{user_id}-C{next(claim_counter)}",
+                            service_start=t,
+                            service_end=t + timedelta(days=int(rng.integers(0, stay))),
+                            primary_diagnosis=_random_icd9(rng),
+                            other_diagnoses=(),
+                            cpt_code=cpts[rng.integers(0, len(cpts))],
+                        ))
             cursor = next_start
     return data

@@ -23,16 +23,14 @@ def text_stream(target, mode: str = "r"):
     """Yield ``target`` as a text stream.
 
     A path is opened in ``mode`` as UTF-8 with ``newline=""`` (so the csv
-    module controls line endings) and closed on exit. Bytes are decoded as
-    UTF-8. A byte stream is read as UTF-8 through a wrapper that is detached
-    on exit, so the caller's stream stays open; a text stream is yielded as
-    is and left open for its owner.
+    module controls line endings) and closed on exit. A byte stream is read
+    as UTF-8 through a wrapper that is detached on exit, so the caller's
+    stream stays open; a text stream is yielded as is and left open for its
+    owner.
     """
     if isinstance(target, (str, Path)):
         with open(target, mode, newline="", encoding="utf-8") as fh:
             yield fh
-    elif isinstance(target, (bytes, bytearray)):
-        yield io.StringIO(target.decode("utf-8"))
     elif mode == "r" and isinstance(target.read(0), bytes):
         wrapper = io.TextIOWrapper(target, encoding="utf-8", newline="")
         try:

@@ -15,6 +15,7 @@ from readmit.dataset import (
 from readmit.features import (
     AGE_GROUP_NAMES, COUNT, FAMILIES, MEDICATION_CATEGORIES, SET, AdmissionFeatures,
 )
+from readmit.seeding import FOLD_STREAM, rng_for
 
 from conftest import PINNED_FEATURES
 
@@ -213,6 +214,31 @@ def test_stratified_fold_property(n, k, seed):
     assert max(counts) - min(counts) <= 1
     seen = sorted(int(i) for _, val in folds for i in val)
     assert seen == list(range(n))
+
+
+def reference_kfold(y, k, seed):
+    """The fold loop stratified_kfold replaced: deal each class's seeded
+    permutation to the folds in turn, then sort each side."""
+    rng = rng_for(seed, FOLD_STREAM)
+    folds = [[] for _ in range(k)]
+    offset = 0
+    for cls in (1, 0):
+        idx = np.flatnonzero(y == cls)
+        idx = idx[rng.permutation(len(idx))]
+        for j, row in enumerate(idx):
+            folds[(offset + j) % k].append(int(row))
+        offset += len(idx)
+    return [(sorted(x for j in range(k) if j != i for x in folds[j]), sorted(folds[i]))
+            for i in range(k)]
+
+
+@given(st.integers(2, 120), st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_stratified_folds_match_reference_loop(n, k, positive_rate, seed):
+    y = (np.random.default_rng(seed).random(n) < positive_rate).astype(np.int8)
+    folds = stratified_kfold(y, min(k, n), seed)
+    expected = reference_kfold(y, min(k, n), seed)
+    assert [(fit.tolist(), val.tolist()) for fit, val in folds] == expected
+    assert all(side.dtype == np.intp for pair in folds for side in pair)
 
 
 def test_split_spec_validation():

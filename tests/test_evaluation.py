@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readmit.evaluation import (
-    auc, auc_score, confusion_metrics, evaluate_scores,
+    ModelEvaluation, auc, auc_score, confusion_metrics, evaluate_side,
     mann_whitney_auc, roc_curve, write_report_csv, write_roc_csv,
 )
 
@@ -175,10 +175,11 @@ def test_roc_and_report_csv_bytes_are_pinned():
     labels = [int(i % 3 == 0 or i % 7 == 2) for i in range(40)]
     vectors = {"coarse": [(i * 7) % 11 / 10 for i in range(40)],
                "thirds": [-((i * 5) % 6) / 3 for i in range(40)]}
-    rows = [evaluate_scores(name, s[:28], labels[:28], s[28:], labels[28:])
+    rows = [ModelEvaluation(name, evaluate_side(s[:28], labels[:28]),
+                            evaluate_side(s[28:], labels[28:]))
             for name, s in vectors.items()]
     digests = {"report": _csv_sha256(write_report_csv, rows)}
     for row in rows:
-        digests[f"{row.name}_train"] = _csv_sha256(write_roc_csv, row.train_roc)
-        digests[f"{row.name}_test"] = _csv_sha256(write_roc_csv, row.test_roc)
+        digests[f"{row.name}_train"] = _csv_sha256(write_roc_csv, row.train.roc)
+        digests[f"{row.name}_test"] = _csv_sha256(write_roc_csv, row.test.roc)
     assert digests == CSV_SHA256

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -64,14 +65,55 @@ def small_run(tmp_path_factory):
     config_path.write_text(json.dumps(SMALL_CONFIG))
     out = root / "out"
     assert main(["all", "--config", str(config_path), "--out", str(out)]) == 0
-    return {"config_path": config_path, "out": out}
+    sha256 = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    return {"config_path": config_path, "out": out, "sha256": sha256}
 
 
 def tree_bytes(root: Path) -> dict:
     return {
-        str(p.relative_to(root)): p.read_bytes()
+        p.relative_to(root).as_posix(): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+# sha256 of every file of the SMALL_CONFIG `all` tree, taken as soon as the run
+# ends: the grid CSVs, manifests, matrix, split manifest and eval/ besides the
+# model and ETL files that other tests pin.
+SMALL_RUN_SHA256 = {
+    "data/demographics.csv": "82e8adbd2fd03b83462304396cd9b1326914bce4cc2172f40815c0c1e40956b7",
+    "data/manifest.json": "d848d7cebd4a0520e703547c0a80d1bd9890edb82f376b807fc261bd71508b53",
+    "data/medical_claims.csv": "db3afbc28a9256627060f35427dfdde16526c241a77fd4946d5e6784bec5ae15",
+    "data/pharmacy_claims.csv": "b9bf22cfc5141df1b55cad3eacf1e55100b0de053327d7943c37367aae73e941",
+    "episodes/admissions.csv": "b9d81db446726725e43d691947782266621d784df98f6fa12593ba9d99a6de73",
+    "episodes/manifest.json": "876d07827549e18b5fb16dc0a8120062d7b7e742aa00ed5de6bb9b7faddc78b8",
+    "eval/manifest.json": "579b7af1b77c7475e2869af648f4379848880c2cebb0306a2e96198b8758ba2b",
+    "eval/report.csv": "b699e8672ec6b1ef8a36c9dbd154ebfa7dc881c610fbdcdface1e71cb7843eae",
+    "eval/roc_lr_all_test.csv": "4553b7a20f26f9d8da1b6ccc00ec1d537404ada6015eb64c1efefa0afed545f6",
+    "eval/roc_lr_all_train.csv": "ec0d855f9acf20f32f8311e2b4bd52be2809096c860f7d682493603659da819c",
+    "eval/roc_lr_selected_test.csv": "9e8913a3c591382c14bed609686e98ccfb798de26a83e6796f7d64f5aa778bdf",
+    "eval/roc_lr_selected_train.csv": "94419260c74df77d8514f63abdb6ec55cac50d4a56e4f00cf37a4fb9366c333b",
+    "eval/roc_pca_lr_selected_test.csv": "d0630fc83d181139c2d2751d5bed35ea9fd7af20948896af4393cd4bcdd02cf0",
+    "eval/roc_pca_lr_selected_train.csv": "e3d55504dd11ea560e0023ef706cae73cba1f5207d1a983519b69fe78bb39192",
+    "eval/roc_pca_lr_test.csv": "c900852cc9ff61e9ce8332e6b65d99105618d48bd9e31d63146737666bbd5039",
+    "eval/roc_pca_lr_train.csv": "db43a3cce4eb7971c1ac4c71954e1ba2c0600e0286900664ce6d0caec2e73441",
+    "eval/roc_rf_best_test.csv": "f2d619b58559168a3216bf287ce050e4536c16ed41f56a69a17424d98c26cd4b",
+    "eval/roc_rf_best_train.csv": "06701d620dc028e3aa92b4a906e7f9b7607486a3424fae27b6c064677a7bbc69",
+    "eval/roc_svm_best_test.csv": "d7356131ceef2c57ce105f4a6979fc4099fc7eabfc5fbf15c7930cbd8d4c4ef2",
+    "eval/roc_svm_best_train.csv": "2c87b850e8e684ff2285153cf6b30f23f8d9c59c5db20c9d919b32d18d464a5a",
+    "features/features.csv": "bbad1bd49f8b233570751b601e52483f609ec9316c79b3f1e053f02e2e317eb2",
+    "features/manifest.json": "b43743353967ddfaf8596dcbf98fbf9e3438e61f99cf0e26b5727a9a4a0d2c23",
+    "models/lr_all.model": "4f0340d34ab3368afe68ace44fd7fed621cbf25e3e97dc8dec07210120b29eed",
+    "models/lr_selected.model": "28ced7f21e6517974a95ec4156a39a41bcb606de25e980340d1ddca005cb3af4",
+    "models/manifest.json": "b62445e49d4edb2e6ec91eddc31c4140d3f18c17f76e155552ca3421ece3d822",
+    "models/matrix.csv": "a74532fc28799be6a8e0098890d3a97a841166f8c5e5b73653e23e7f12ab8e6c",
+    "models/pca_lr.model": "430badc73b5a8df98c6030813b1e2a91898d1a10615e933df155bce29466945c",
+    "models/pca_lr_selected.model": "64309386e346dafe177e89994d3ba50c80ef8a49a5cbcf1ab5af72a1d5db62e1",
+    "models/rf_best.model": "a3549efafcfd2b77cae8714ab2bd562d25d5fdb578492a184c282bacb8c06c50",
+    "models/rf_grid.csv": "93469309c44c67d9081f252a9ac1dc34b787f1517b6efd176817dabd7a37036b",
+    "models/split_manifest.json": "c5a86ab2cd42c679c0220449cb49b225f49ae81b238ed5a994863f86a5e99681",
+    "models/svm_best.model": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
+    "models/svm_grid.csv": "d31face82c1bb3685317097f1fec0f30862486ea492e7ec2bcafac0bd917d4d2",
+}
 
 
 class TestRunConfig:
@@ -173,6 +215,9 @@ class TestCliRuns:
             assert facts["variance_explained"] == pytest.approx(
                 bundle.pca.explained[:bundle.pca.retained].sum(), abs=1e-12)
             assert 0.95 - 1e-12 <= facts["variance_explained"] <= 1.0 + 1e-12
+
+    def test_output_tree_bytes_are_pinned(self, small_run):
+        assert small_run["sha256"] == SMALL_RUN_SHA256
 
     def test_rerun_is_byte_identical(self, small_run, tmp_path):
         out2 = tmp_path / "again"
@@ -453,6 +498,37 @@ class TestCliExitCodes:
         assert (out / "features" / "features.csv").exists()
         assert not (out / "models").exists()
         assert "readmitted" in capsys.readouterr().err
+
+    def test_fold_count_above_training_rows_exit_5_before_models(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**SMALL_CONFIG, "fold_count": 1000}))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
+        assert (out / "features" / "features.csv").exists()
+        assert not (out / "models").exists()
+        err = capsys.readouterr().err
+        assert re.search(r"fold_count 1000 exceeds the \d+ training rows", err)
+        assert "Traceback" not in err
+
+    def test_selection_keeping_no_column_exit_5_leaves_no_models(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**SMALL_CONFIG, "selection_significance": 1e-300}))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
+        assert "feature selection kept no columns" in capsys.readouterr().err
+        assert (out / "features" / "features.csv").exists()
+        assert not (out / "models").exists()
+
+    def test_model_file_of_another_kind_exit_4(self, small_run, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(small_run["out"] / "models", models)
+        shutil.copyfile(models / "svm_best.model", models / "lr_all.model")
+        out = tmp_path / "o"
+        assert self._evaluate(small_run, models, out) == 4
+        err = capsys.readouterr().err
+        assert f"{models / 'lr_all.model'} holds a svm_best model, not lr_all" in err
+        assert "Traceback" not in err
+        assert not (out / "eval").exists()
 
     @pytest.mark.parametrize("flag", ["--ccs-map", "--medical"])
     def test_directory_as_input_exit_3(self, flag, worked_example_files, tmp_path, capsys):

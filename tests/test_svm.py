@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from readmit.evaluation import auc_score
-from readmit.models import fit_linear_svm, hinge_objective, svm_decision_scores
+from readmit.models import fit_linear_svm, svm_decision_scores
 
 
 def blobs(n_per_side=40, gap=2.0, seed=0):
@@ -15,6 +15,21 @@ def blobs(n_per_side=40, gap=2.0, seed=0):
     return X, y
 
 
+def objective(model, X, y) -> float:
+    """The fitted hinge objective (1/2)||w||^2 + C * sum hinge over the
+    standardized features and the constant column."""
+    w_aug = np.append(model.weights, model.intercept)
+    margins = 1.0 - np.where(y == 1, 1.0, -1.0) * svm_decision_scores(model, X)
+    return 0.5 * float(w_aug @ w_aug) + model.C * float(np.maximum(margins, 0.0).sum())
+
+
+def objective_path(X, y, C, epochs, seed) -> list[float]:
+    """The objective after each of epochs 1..``epochs``: a fit to e epochs
+    is the same run stopped at epoch e."""
+    return [objective(fit_linear_svm(X, y, C=C, epochs=e, seed=seed), X, y)
+            for e in range(1, epochs + 1)]
+
+
 class TestFit:
     def test_separable_data_ranks_perfectly(self):
         X, y = blobs(gap=3.0)
@@ -23,9 +38,7 @@ class TestFit:
 
     def test_objective_non_increasing_over_epoch_checkpoints(self):
         X, y = blobs(gap=1.0, seed=2)
-        model = fit_linear_svm(X, y, C=0.1, epochs=8, seed=3)
-        trace = model.objective_trace
-        assert len(trace) == 8
+        trace = objective_path(X, y, C=0.1, epochs=8, seed=3)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_determinism(self):
@@ -34,7 +47,6 @@ class TestFit:
         b = fit_linear_svm(X, y, C=0.5, epochs=4, seed=7)
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
-        assert a.objective_trace == b.objective_trace
 
     def test_invalid_inputs_rejected(self):
         X, y = blobs()
@@ -48,13 +60,15 @@ class TestFit:
         # steps over the same sampled rows, so the doubled run's epoch
         # checkpoints align with every second checkpoint of the base run.
         X, y = blobs(seed=5)
-        base = fit_linear_svm(X, y, C=0.2, epochs=10, seed=11)
-        doubled = fit_linear_svm(np.repeat(X, 2, axis=0), np.repeat(y, 2),
-                                 C=0.1, epochs=5, seed=11)
-        aligned = base.objective_trace[1::2]
-        assert len(aligned) == len(doubled.objective_trace)
-        for a, b in zip(aligned, doubled.objective_trace):
+        X2, y2 = np.repeat(X, 2, axis=0), np.repeat(y, 2)
+        aligned = objective_path(X, y, C=0.2, epochs=10, seed=11)[1::2]
+        doubled_path = objective_path(X2, y2, C=0.1, epochs=5, seed=11)
+        assert len(aligned) == len(doubled_path) == 5
+        for a, b in zip(aligned, doubled_path):
+            # The doubled objective sums each hinge twice at half the C.
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
+        base = fit_linear_svm(X, y, C=0.2, epochs=10, seed=11)
+        doubled = fit_linear_svm(X2, y2, C=0.1, epochs=5, seed=11)
         ranks_a = np.argsort(svm_decision_scores(base, X), kind="stable")
         ranks_b = np.argsort(svm_decision_scores(doubled, X), kind="stable")
         assert np.array_equal(ranks_a, ranks_b)
@@ -68,14 +82,3 @@ class TestScores:
         raw = svm_decision_scores(model, shifted)
         expected = ((shifted - model.means) / model.stds) @ model.weights + model.intercept
         assert np.array_equal(raw, expected)
-
-    def test_objective_matches_direct_formula(self):
-        X, y = blobs(seed=8)
-        model = fit_linear_svm(X, y, C=0.3, epochs=2, seed=17)
-        Z = np.ones((len(X), X.shape[1] + 1))
-        Z[:, :-1] = (X - model.means) / model.stds
-        w_aug = np.append(model.weights, model.intercept)
-        y_pm = np.where(y == 1, 1.0, -1.0)
-        margins = 1.0 - y_pm * (Z @ w_aug)
-        direct = 0.5 * w_aug @ w_aug + 0.3 * np.maximum(margins, 0).sum()
-        assert abs(hinge_objective(Z, y_pm, w_aug, 0.3) - direct) < 1e-12
