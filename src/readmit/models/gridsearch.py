@@ -93,7 +93,8 @@ def grid_search(
     worker = partial(_eval_config, evaluator=evaluator, X=X, y=y,
                      folds=folds, configs=configs, seed=seed)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A fork-started pool starts all its workers on the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             rows = list(pool.map(worker, range(len(configs))))
     else:
         rows = [worker(i) for i in range(len(configs))]

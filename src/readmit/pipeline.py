@@ -11,8 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -53,31 +53,24 @@ DEFAULT_RF_GRID = {
 }
 DEFAULT_SVM_C_GRID = [0.001, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]
 
-DEFAULT_GENERATOR = {
-    "n_users": 5000,
-    "start_date": "2015-01-01",
-    "end_date": "2019-12-31",
-    "mean_admissions_per_user": 2.0,
-    "readmission_fraction": 0.0465,
-    "noise_claim_rate": 0.3,
-    "hospital_visit_rate": 0.15,
-    "signals": [],
-}
+# The generator section's defaults: GeneratorConfig's, dates in ISO form. Its
+# seed is the run's.
+DEFAULT_GENERATOR = json.loads(json.dumps(
+    {f.name: f.default for f in dataclasses.fields(GeneratorConfig) if f.name != "seed"},
+    default=date.isoformat))
 
 # Scalar config fields no stage can run with outside these limits:
-# name -> (integer only, accepts, what is wanted).
+# name -> (accepts, what is wanted); ``_from_json`` has checked the type.
 CONFIG_LIMITS = {
-    "seed": (True, lambda v: True, "an integer"),
-    "fold_count": (True, lambda v: v >= 2, "an integer >= 2"),
-    "lr_max_iter": (True, lambda v: v >= 1, "an integer >= 1"),
-    "lr_tol": (False, lambda v: v > 0, "a number > 0"),
-    "lr_l2": (False, lambda v: v >= 0, "a number >= 0"),
-    "selection_significance": (False, lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "train_fraction": (False, lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "threshold": (False, lambda v: True, "a finite number"),
-    "jobs": (True, lambda v: v >= 1, "an integer >= 1"),
-    "pca_variance_target": (False, lambda v: 0 < v <= 1, "a number in (0, 1]"),
-    "svm_epochs": (True, lambda v: v >= 1, "an integer >= 1"),
+    "fold_count": (lambda v: v >= 2, "an integer >= 2"),
+    "lr_max_iter": (lambda v: v >= 1, "an integer >= 1"),
+    "lr_tol": (lambda v: v > 0, "a number > 0"),
+    "lr_l2": (lambda v: v >= 0, "a number >= 0"),
+    "selection_significance": (lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "train_fraction": (lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "jobs": (lambda v: v >= 1, "an integer >= 1"),
+    "pca_variance_target": (lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "svm_epochs": (lambda v: v >= 1, "an integer >= 1"),
 }
 INPUT_PATHS = ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")
 # Claims input -> (its parser in this module, its generated file, what that file is called).
@@ -89,10 +82,49 @@ CLAIM_INPUTS = {
 
 
 def _is_number(value, integer: bool) -> bool:
-    """A finite int (or, unless ``integer``, float); bools are not numbers."""
+    """An int or, unless ``integer``, an int or float within the finite
+    float range; bools are not numbers."""
     kinds = int if integer else (int, float)
     return (not isinstance(value, bool) and isinstance(value, kinds)
-            and (isinstance(value, int) or math.isfinite(value)))
+            and (integer or abs(value) <= sys.float_info.max))
+
+
+# Field annotation -> (accepts a JSON value for it, what is wanted). A date
+# field's string is parsed, which raises ValueError unless it is ISO; a field
+# of another type is checked where it is used.
+_JSON_KINDS = {
+    int: (lambda v: _is_number(v, True), "an integer"),
+    float: (lambda v: _is_number(v, False), "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    str | None: (lambda v: isinstance(v, (str, type(None))), "a string or null"),
+    date: (lambda v: isinstance(v, str), "an ISO date string"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    list: (lambda v: isinstance(v, list), "a list"),
+}
+
+
+def _from_json(cls, raw, what: str) -> dict:
+    """The keyword arguments that build dataclass ``cls`` from the JSON
+    object ``raw``, with dates parsed. Raises ConfigError on a key ``cls``
+    has no field for, a field without a default that ``raw`` lacks, or a
+    value ``_JSON_KINDS`` does not take for its field's annotation."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be an object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{what} lacks keys: {missing}")
+    for name, value in raw.items():
+        accepts, wanted = _JSON_KINDS.get(hints[name], (lambda v: True, None))
+        if not accepts(value):
+            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    return {name: date.fromisoformat(value) if hints[name] is date else value
+            for name, value in raw.items()}
 
 
 @dataclass
@@ -124,57 +156,33 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls()
-        for key, value in raw.items():
-            if key == "generator":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"generator must be an object, got {value!r}")
-                merged = dict(DEFAULT_GENERATOR)
-                extra = set(value) - set(merged) - {"seed"}
-                if extra:
-                    raise ConfigError(f"unknown generator keys: {sorted(extra)}")
-                merged.update(value)
-                merged.pop("seed", None)
-                setattr(cfg, key, merged)
-            else:
-                setattr(cfg, key, value)
-        return cfg.validate()
-
-    def validate(self) -> "RunConfig":
-        """Raise ConfigError, before any stage runs, on a value in
-        ``CONFIG_LIMITS`` that is out of range or of the wrong type, a flag
-        that is not a bool, an input path that is not a string or null, a
-        generator section ``GeneratorConfig`` or ``SignalSpec`` cannot take,
-        an ``svm_c_grid`` that is not a non-empty list of numbers > 0, or an
+        """The config with ``raw``'s values over the defaults. Raises
+        ConfigError, before any stage runs, on a key or value ``_from_json``
+        refuses, a value in ``CONFIG_LIMITS`` out of range, a generator
+        section ``GeneratorConfig`` or ``SignalSpec`` cannot take, an
+        ``svm_c_grid`` that is not a non-empty list of numbers > 0, or an
         ``rf_grid`` that does not give each forest parameter a non-empty list
         of integers >= 1 with ``mtry`` at most the design-matrix width of the
-        mapping files."""
-        for name, (integer, accepts, wanted) in CONFIG_LIMITS.items():
-            value = getattr(self, name)
-            if not (_is_number(value, integer) and accepts(value)):
+        mapping files. A ``generator.seed`` is dropped: the run's seed is the
+        generator's."""
+        given = _from_json(cls, raw, "config")
+        cfg = cls(**{name: value for name, value in given.items() if name != "generator"})
+        cfg.generator.update(given.get("generator", {}))
+        cfg.generator.pop("seed", None)
+        for name, (accepts, wanted) in CONFIG_LIMITS.items():
+            value = getattr(cfg, name)
+            if not accepts(value):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-        for name in ("strict", "user_level_split"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in INPUT_PATHS:
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name} must be a path or null, got {getattr(self, name)!r}")
         try:
-            self.generator_config()
-        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ConfigError(f"generator: {detail}") from exc
-        c_grid = self.svm_c_grid
-        if (not isinstance(c_grid, list) or not c_grid
-                or any(not _is_number(c, False) or c <= 0 for c in c_grid)):
+            cfg.generator_config()
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"generator: {exc}") from exc
+        c_grid = cfg.svm_c_grid
+        if not c_grid or any(not _is_number(c, False) or c <= 0 for c in c_grid):
             raise ConfigError("svm_c_grid must be a non-empty list of numbers > 0, "
                               f"got {c_grid!r}")
-        grid = self.rf_grid
-        if not isinstance(grid, dict) or set(grid) != set(DEFAULT_RF_GRID):
+        grid = cfg.rf_grid
+        if set(grid) != set(DEFAULT_RF_GRID):
             raise ConfigError(f"rf_grid must have exactly the keys {list(DEFAULT_RF_GRID)}, "
                               f"got {grid!r}")
         for name, values in grid.items():
@@ -182,11 +190,11 @@ class RunConfig:
                     or any(not _is_number(v, True) or v < 1 for v in values)):
                 raise ConfigError(f"rf_grid {name} must be a non-empty list of integers >= 1, "
                                   f"got {values!r}")
-        width = len(feature_columns(_load_mappings(self)))
+        width = len(feature_columns(_load_mappings(cfg)))
         if max(grid["mtry"]) > width:
             raise ConfigError(f"rf_grid mtry {max(grid['mtry'])} exceeds the {width} "
                               "design-matrix columns")
-        return self
+        return cfg
 
     @classmethod
     def from_json(cls, path, **overrides) -> "RunConfig":
@@ -207,30 +215,15 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def generator_config(self) -> GeneratorConfig:
-        g = self.generator
-        known = {f.name for f in dataclasses.fields(SignalSpec)}
-        for s in g.get("signals", []):
-            if set(s) - known:
-                raise ConfigError(f"unknown signal keys: {sorted(set(s) - known)}")
-        signals = tuple(
-            SignalSpec(
-                kind=s["kind"], value=str(s["value"]),
-                strength=float(s["strength"]),
-                carrier_rate=float(s.get("carrier_rate", 0.5)),
-            )
-            for s in g.get("signals", [])
-        )
-        return GeneratorConfig(
-            n_users=int(g["n_users"]),
-            start_date=date.fromisoformat(g["start_date"]),
-            end_date=date.fromisoformat(g["end_date"]),
-            mean_admissions_per_user=float(g["mean_admissions_per_user"]),
-            readmission_fraction=float(g["readmission_fraction"]),
-            signals=signals,
-            noise_claim_rate=float(g["noise_claim_rate"]),
-            hospital_visit_rate=float(g["hospital_visit_rate"]),
-            seed=self.seed,
-        )
+        """The generator section as a ``GeneratorConfig`` with the run's seed."""
+        g = _from_json(GeneratorConfig, self.generator, "generator")
+        signals = g.get("signals", [])
+        if not isinstance(signals, list):
+            raise ConfigError(f"signals must be a list, got {signals!r}")
+        return GeneratorConfig(**{
+            **g, "seed": self.seed,
+            "signals": tuple(SignalSpec(**_from_json(SignalSpec, s, "signal")) for s in signals),
+        })
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(

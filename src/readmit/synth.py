@@ -22,6 +22,7 @@ from .claims import (
     MedicalClaim, PharmacyClaim,
 )
 from .codes import normalize_icd9
+from .episodes import GAP_DAYS, WINDOW_DAYS
 from .errors import ConfigError
 from .seeding import GENERATOR_STREAM, rng_for
 
@@ -35,7 +36,6 @@ _PROCEDURE_CPTS = ["61000", "43888", "27130", "27440", "31500", "44950",
                    "47562", "63015", "70450", "33510"]
 
 _WORST_CASE_LOS = 14
-_READMIT_MAX_GAP = 30
 _SPACING_MAX = 70        # widest draw for the post-admission quiet gap
 
 
@@ -72,7 +72,7 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    n_users: int
+    n_users: int = 5000
     start_date: date = date(2015, 1, 1)
     end_date: date = date(2019, 12, 31)
     mean_admissions_per_user: float = 2.0
@@ -89,11 +89,14 @@ class GeneratorConfig:
             raise ConfigError("readmission_fraction must be in (0, 1)")
         if self.mean_admissions_per_user < 1.0:
             raise ConfigError("mean_admissions_per_user must be at least 1")
+        for name in ("noise_claim_rate", "hospital_visit_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
         span = (self.end_date - self.start_date).days
         if span <= _WORST_CASE_LOS:
             raise ConfigError("date range shorter than the worst-case stay")
         k_max = int(np.ceil(self.mean_admissions_per_user))
-        needed = 200 + k_max * (_WORST_CASE_LOS + _READMIT_MAX_GAP + _SPACING_MAX + 40)
+        needed = 200 + k_max * (_WORST_CASE_LOS + WINDOW_DAYS + _SPACING_MAX + 40)
         if span < needed:
             raise ConfigError(
                 f"date range of {span} days cannot fit {k_max} admissions per user;"
@@ -209,7 +212,7 @@ def generate(config: GeneratorConfig) -> SyntheticData:
     med_signals = [s for s in config.signals if s.kind == "medication"]
     # Stray claims: (rate, earliest day after last_end, end-day choices, CPT pool).
     # One end-day choice draws integers(0, 1), which takes nothing from the stream.
-    strays = ((config.noise_claim_rate, 10, 2, _OFFICE_CPTS),
+    strays = ((config.noise_claim_rate, GAP_DAYS, 2, _OFFICE_CPTS),
               (config.hospital_visit_rate, 16, 1, _HOSPITAL_VISIT_CPTS))
 
     data = SyntheticData([], [], [], [])
@@ -263,7 +266,7 @@ def generate(config: GeneratorConfig) -> SyntheticData:
 
             last_end = end
             if readmitted:
-                r_start = end + timedelta(days=int(rng.integers(10, _READMIT_MAX_GAP + 1)))
+                r_start = end + timedelta(days=int(rng.integers(GAP_DAYS, WINDOW_DAYS + 1)))
                 r_end = r_start + timedelta(days=int(rng.integers(0, 8)))
                 data.medical.extend(_admission_claims(
                     rng, user_id, claim_counter, r_start, r_end,
@@ -274,14 +277,15 @@ def generate(config: GeneratorConfig) -> SyntheticData:
 
             # Quiet zone: beyond the 30-day window of the index admission
             # and at least an episode gap away from every claim so far.
-            next_start = max(end + timedelta(days=31),
-                             last_end + timedelta(days=10))
+            next_start = max(end + timedelta(days=WINDOW_DAYS + 1),
+                             last_end + timedelta(days=GAP_DAYS))
             next_start += timedelta(days=int(rng.integers(10, _SPACING_MAX + 1)))
 
             for rate, offset, stay, cpts in strays:
                 if rng.random() < rate:
                     t = last_end + timedelta(days=offset + int(rng.integers(0, 5)))
-                    if (next_start - t).days >= 11:
+                    # A stray ends at most a day after t, an episode gap before next_start.
+                    if (next_start - t).days > GAP_DAYS:
                         data.medical.append(MedicalClaim(
                             user_id=user_id,
                             claim_id=f"{user_id}-C{next(claim_counter)}",

@@ -71,6 +71,33 @@ def test_results_independent_of_jobs():
     assert serial.winner_index == parallel.winner_index
 
 
+def test_worker_pool_capped_at_cell_count(monkeypatch):
+    # A fake pool that maps serially: no process starts, however large jobs is.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(gridsearch, "ProcessPoolExecutor", SerialPool)
+    X, y = small_problem(seed=18)
+    folds = stratified_kfold(y, 2, seed=19)
+    grid = {"C": [0.01, 0.1, 1.0], "epochs": [2]}
+    for jobs in (2, 5000):
+        result = grid_search(svm_fold_auc, grid, X, y, folds, seed=20, jobs=jobs)
+        assert result.fold_aucs.shape == (3, 2)
+    assert sizes == [2, 3]
+
+
 def _captured(monkeypatch, name):
     """Every value returned through ``gridsearch.<name>``, in call order."""
     returned, original = [], getattr(gridsearch, name)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from datetime import date
 from importlib import resources
 from pathlib import Path
 
@@ -123,6 +124,16 @@ class TestRunConfig:
         cfg = RunConfig.from_json(path)
         assert cfg.seed == 0 and cfg.fold_count == 10
         assert len(cfg.svm_c_grid) == 9
+        # A generator section without signals gets its own default list.
+        path.write_text('{"generator": {"n_users": 10}}')
+        RunConfig.from_json(path).generator["signals"].append({"kind": "medication"})
+        assert RunConfig.from_json(path).generator["signals"] == [] == DEFAULT_GENERATOR["signals"]
+
+    def test_readme_defaults_are_the_config_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"Defaults:\n\n```json\n(.*?)```", readme, re.S).group(1)
+        defaults = json.loads(RunConfig().canonical_json())
+        assert json.loads(block) == {k: v for k, v in defaults.items() if v is not None}
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -147,13 +158,16 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=6)
+# Values near valid generator values, so that some generator sections pass.
+_NEAR = (st.integers(0, 3) | st.floats(0, 1)
+         | st.sampled_from(["2015-06-01", "300", "0.1", "60", "4280"]))
 _SIGNAL = st.dictionaries(st.sampled_from(["kind", "value", "strength", "carrier_rate"]),
-                          _JSON | st.sampled_from(["comorbidity", "medication"]))
+                          _JSON | _NEAR | st.sampled_from(["comorbidity", "medication"]))
 _GENERATOR = st.dictionaries(st.sampled_from([*DEFAULT_GENERATOR, "seed"]),
-                             _JSON | st.lists(_SIGNAL, max_size=2))
+                             _JSON | _NEAR | st.lists(_SIGNAL, max_size=2))
 _CONFIG = st.dictionaries(
     st.sampled_from([f.name for f in dataclasses.fields(RunConfig)] + ["nope"]),
-    _JSON | _GENERATOR, max_size=4)
+    _JSON | _GENERATOR, max_size=4) | st.fixed_dictionaries({"generator": _GENERATOR})
 
 
 @given(_CONFIG)
@@ -161,9 +175,19 @@ def test_malformed_config_raises_only_config_error(raw):
     # A string mapping path names a file, which may be missing (exit 3).
     assume(not any(isinstance(raw.get(k), str) for k in ("comorbidity_map", "ccs_map")))
     try:
-        RunConfig.from_dict(raw)
+        cfg = RunConfig.from_dict(raw)
     except ConfigError:
-        pass
+        return
+    # An accepted generator section is built uncoerced: each value is its
+    # JSON value, of the same type, with dates parsed.
+    def typed(values):
+        return {k: (type(v), v) for k, v in values.items()}
+    built = cfg.generator_config()
+    for spec, signal in zip(built.signals, cfg.generator["signals"], strict=True):
+        assert typed({k: getattr(spec, k) for k in signal}) == typed(signal)
+    want = {k: date.fromisoformat(v) if k.endswith("_date") else v
+            for k, v in cfg.generator.items() if k != "signals"}
+    assert typed({k: getattr(built, k) for k in want}) == typed(want)
 
 
 class TestCliRuns:
@@ -373,6 +397,7 @@ class TestCliExitCodes:
         {"train_fraction": 1},
         {"threshold": "x"},
         {"threshold": True},
+        pytest.param({"threshold": 10**400}, id="threshold-int-beyond-float"),
         {"pca_variance_target": 0},
         {"pca_variance_target": 1.5},
         {"svm_epochs": 0},
@@ -395,6 +420,15 @@ class TestCliExitCodes:
                      id="generator-signal-missing-keys"),
         pytest.param({"generator": {"n_users": "x"}}, id="generator-n_users-text"),
         pytest.param({"generator": {"n_users": 0}}, id="generator-n_users-0"),
+        *(pytest.param({"generator": {"n_users": n}}, id=f"generator-n_users-{n!r}")
+          for n in ("300", True, 2.9)),
+        pytest.param({"generator": {"readmission_fraction": "0.1"}},
+                     id="generator-readmission_fraction-text"),
+        pytest.param({"generator": {"signals": [{"kind": "comorbidity", "value": 4280,
+                                                 "strength": 1.0}]}},
+                     id="generator-signal-value-number"),
+        pytest.param({"generator": {"noise_claim_rate": -3}}, id="generator-rate-negative"),
+        pytest.param({"generator": {"hospital_visit_rate": 1.5}}, id="generator-rate-above-1"),
         *(pytest.param({"generator": {"signals": [{**signal, "strength": 1.0}]}},
                        id="generator-signal-" + "-".join(f"{k}={v}" for k, v in signal.items()))
           for signal in ({"kind": "comorbidity", "value": "4280", "carrier_rte": 0.2},
