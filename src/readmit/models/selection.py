@@ -6,6 +6,17 @@ the current model) is added; selection stops when the best candidate's
 chi-square p-value on one degree of freedom reaches the significance
 threshold. Each candidate fit starts from the current model's coefficients
 with 0 for the new column, so it needs only a few Newton steps.
+
+A step's candidates are fit as stacks through ``fit_logistic_stack``, at
+most ``STACK_DOUBLES`` design entries (candidates × rows × columns) per
+stack. The cap bounds the memory of a stack and of the Newton loop's
+arrays of the same size, so the number of candidates per stack falls as
+the rows and the selected columns grow. A stack is gathered as
+``X.T[columns]``: C-contiguous ``(candidates, k + 1, n)``, used through
+``.transpose(0, 2, 1)``. Each candidate's ``(n, k + 1)`` slice then has the
+column-major layout ``X[:, columns]`` gives a single fit, so every BLAS and
+LAPACK call sees the same operands and each candidate fit, statistic and
+p-value is bit for bit that of fitting the candidates one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logistic import fit_logistic, penalized_nll
+from .logistic import fit_logistic_stack, stack_nll
+
+# Design entries (float64) per stack of candidate fits: 128 KB, so that a
+# stack and each array of its size or smaller stays under glibc malloc's
+# 128 KiB mmap threshold. Larger arrays are mapped and unmapped afresh on
+# each Newton step; at 2**16 that made 8,000-row stacks slower per fit
+# than single fits.
+STACK_DOUBLES = 2 ** 14
 
 
 def chi2_sf_1df(stat: float) -> float:
@@ -67,26 +85,34 @@ def loglik_feature_select(
     fits = 0
 
     def fit(columns, start):
+        """The (model, unpenalized log-likelihood) of the fit on
+        ``X[:, c]`` for each row ``c`` of ``columns``, in one stack."""
         nonlocal fits
-        trial = X[:, columns]
-        model = fit_logistic(trial, y, l2_penalty=1e-6, tol=1e-6,
-                             max_iter=max_iter, start=start)
-        fits += 1
-        if not model.converged:
-            unconverged.append(list(columns))
+        stack = X.T[columns].transpose(0, 2, 1)
+        models = fit_logistic_stack(stack, y, l2_penalty=1e-6, tol=1e-6,
+                                    max_iter=max_iter, start=start)
+        fits += len(models)
+        unconverged.extend(c for c, model in zip(columns.tolist(), models)
+                           if not model.converged)
         # unpenalized log-likelihood at the (lightly penalized) fit
-        return model, -penalized_nll(trial, y, model.weights, model.intercept, 0.0)
+        weights = np.array([model.weights for model in models])
+        intercepts = np.array([model.intercept for model in models])
+        return zip(models, (-stack_nll(stack, y, weights, intercepts, 0.0)).tolist())
 
     selected: list[int] = []
-    current, current_ll = fit([], None)
+    [(current, current_ll)] = fit(np.empty((1, 0), dtype=np.intp), None)
     while usable:
         best_j, best_stat, best = None, -math.inf, None
-        start = (np.append(current.weights, 0.0), current.intercept)
-        for j in usable:
-            model, ll = fit(selected + [j], start)
-            stat = 2.0 * (ll - current_ll)
-            if stat > best_stat:
-                best_j, best_stat, best = j, stat, (model, ll)
+        per_stack = max(1, STACK_DOUBLES // (len(y) * (len(selected) + 1)))
+        start = np.append(current.weights, 0.0)
+        for lo in range(0, len(usable), per_stack):
+            chunk = usable[lo:lo + per_stack]
+            columns = np.array([selected + [j] for j in chunk], dtype=np.intp)
+            chunk_start = (np.tile(start, (len(chunk), 1)), np.full(len(chunk), current.intercept))
+            for j, (model, ll) in zip(chunk, fit(columns, chunk_start)):
+                stat = 2.0 * (ll - current_ll)
+                if stat > best_stat:
+                    best_j, best_stat, best = j, stat, (model, ll)
         p_value = chi2_sf_1df(max(best_stat, 0.0))
         if best_j is None or p_value >= significance:
             break

@@ -107,8 +107,9 @@ _JSON_KINDS = {
 def _from_json(cls, raw, what: str) -> dict:
     """The keyword arguments that build dataclass ``cls`` from the JSON
     object ``raw``, with dates parsed. Raises ConfigError on a key ``cls``
-    has no field for, a field without a default that ``raw`` lacks, or a
-    value ``_JSON_KINDS`` does not take for its field's annotation."""
+    has no field for, a field without a default that ``raw`` lacks, a
+    value ``_JSON_KINDS`` does not take for its field's annotation, or a
+    date that is no calendar day."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be an object, got {raw!r}")
     hints = typing.get_type_hints(cls)
@@ -119,12 +120,17 @@ def _from_json(cls, raw, what: str) -> dict:
                and f.default is f.default_factory is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{what} lacks keys: {missing}")
+    kwargs = dict(raw)
     for name, value in raw.items():
         accepts, wanted = _JSON_KINDS.get(hints[name], (lambda v: True, None))
         if not accepts(value):
             raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-    return {name: date.fromisoformat(value) if hints[name] is date else value
-            for name, value in raw.items()}
+        if hints[name] is date:
+            try:
+                kwargs[name] = date.fromisoformat(value)
+            except ValueError:
+                raise ConfigError(f"{name} must be an ISO calendar date, got {value!r}") from None
+    return kwargs
 
 
 @dataclass
@@ -267,10 +273,14 @@ def _load_mappings(cfg: RunConfig):
 def _parse(cfg: RunConfig, out_root: Path, name: str) -> list:
     """The records of input ``name``: its path in ``cfg``, else the file
     ``stage_generate`` writes. Its parser is looked up when called, so a
-    wrapper set on this module's attribute sees the call."""
+    wrapper set on this module's attribute sees the call. A parse error
+    names the file."""
     parser, file, what = CLAIM_INPUTS[name]
     path = Path(getattr(cfg, name) or out_root / "data" / file)
-    result = globals()[parser](_require(path, what), cfg.strict)
+    try:
+        result = globals()[parser](_require(path, what), cfg.strict)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if result.errors:
         _log("parse", file=name, skipped=len(result.errors))
     return result.records

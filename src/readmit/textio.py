@@ -58,39 +58,58 @@ class ParseResult:
 def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
     """``row_parser`` gets each non-blank row's cells as a tuple in
     ``columns`` order, whatever the header's order. Errors name the record's
-    first physical line."""
-    with text_stream(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file, expected header row", line=0)
-        index = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in columns if c not in index]
-        extra = [c for c in index if c not in columns]
-        if missing or extra:
-            raise ParseError(
-                f"bad header: missing columns {missing}, unexpected {extra}", line=1
-            )
-        cells = itemgetter(*(index[c] for c in columns))
-        records, errors = [], []
-        next_line = reader.line_num + 1
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1
-            if not "".join(row).strip():
-                continue
-            try:
-                if len(row) != len(columns):
-                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-                record = row_parser(cells(row))
-                if hook is not None:
-                    hook(record)
-            except ValueError as exc:
-                if strict:
-                    raise ParseError(str(exc), line=lineno) from exc
-                errors.append(RowError(lineno, str(exc)))
-                continue
-            records.append(record)
-        return ParseResult(records, errors)
+    first physical line; a byte that is not UTF-8 fails the whole file,
+    strict or not."""
+    try:
+        with text_stream(source) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file, expected header row", line=0)
+            index = {name.strip(): i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in index]
+            extra = [c for c in index if c not in columns]
+            if missing or extra:
+                raise ParseError(
+                    f"bad header: missing columns {missing}, unexpected {extra}", line=1
+                )
+            cells = itemgetter(*(index[c] for c in columns))
+            records, errors = [], []
+            next_line = reader.line_num + 1
+            for row in reader:
+                lineno, next_line = next_line, reader.line_num + 1
+                if not "".join(row).strip():
+                    continue
+                try:
+                    if len(row) != len(columns):
+                        raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+                    record = row_parser(cells(row))
+                    if hook is not None:
+                        hook(record)
+                except ValueError as exc:
+                    if strict:
+                        raise ParseError(str(exc), line=lineno) from exc
+                    errors.append(RowError(lineno, str(exc)))
+                    continue
+                records.append(record)
+            return ParseResult(records, errors)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                         line=_undecodable_line(source)) from None
+
+
+def _undecodable_line(source) -> int:
+    """The physical line of the first byte of ``source`` that is not UTF-8.
+    The text stream decodes ahead in chunks, so the line is found by reading
+    a path again as bytes; a stream cannot be read again and gives 0."""
+    if not isinstance(source, (str, Path)):
+        return 0
+    data = Path(source).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len(data[:exc.start + 1].splitlines())
+    return 0
 
 
 def write_csv(dest, header, rows):

@@ -330,6 +330,36 @@ class TestCliExitCodes:
         admissions = (out / "episodes" / "admissions.csv").read_text().splitlines()[1:]
         assert admissions and not any(line.startswith("User3,") for line in admissions)
 
+    @pytest.mark.parametrize("kind", ["medical", "ccs_map", "features"])
+    def test_non_utf8_byte_exit_4_names_file_and_line(self, tmp_path, worked_example_files,
+                                                       capsys, kind):
+        # Two bytes that are not UTF-8 spliced into line 3 of a claims file, a
+        # code map or features.csv, read through the stage that parses it.
+        good = {"medical": worked_example_files["medical"].read_bytes(),
+                "ccs_map": DEFAULT_CCS_MAP.read_bytes(),
+                "features": "\n".join(GOOD_FEATURES_LINES).encode() + b"\n"}[kind]
+        lines = good.splitlines(keepends=True)
+        lines[2] = lines[2][:4] + b"\xff\xfe" + lines[2][4:]
+        bad = tmp_path / f"{kind}.csv"
+        bad.write_bytes(b"".join(lines))
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(SMALL_CONFIG))
+        out = ["--out", str(tmp_path / "o")]
+        argv = {"medical": ["episodes", "--medical", str(bad), *out],
+                "ccs_map": ["episodes", "--medical", str(worked_example_files["medical"]),
+                            "--ccs-map", str(bad), *out],
+                "features": ["train", "--config", str(config_path), "--features", str(bad),
+                             *out]}[kind]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 3: byte 0xff is not UTF-8" in err and "Traceback" not in err
+
+    def test_claims_row_error_names_file(self, tmp_path, worked_example_files, capsys):
+        bad = tmp_path / "medical_claims.csv"
+        bad.write_text(worked_example_files["medical"].read_text() + "User3,C9,2017-01-01\n")
+        assert main(["episodes", "--medical", str(bad), "--out", str(tmp_path / "o")]) == 4
+        assert f"error: {bad}: line 9: expected 7 fields, got 3" in capsys.readouterr().err
+
     def test_empty_grid_exit_5(self, tmp_path, worked_example_files):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"rf_grid": {"ntree": []}}))
@@ -438,6 +468,7 @@ class TestCliExitCodes:
                          {"kind": "comorbidity", "value": "00000"},
                          {"kind": "comorbidity", "value": "40;28"})),
         {"select_after_pca": False},
+        pytest.param({"generator": {"start_date": "2015-02-30"}}, id="generator-start_date-feb-30"),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_config_value_exit_5_before_any_work(self, tmp_path, bad, capsys):
         # Over SMALL_CONFIG, so a case that validation accepts fails in
@@ -448,6 +479,10 @@ class TestCliExitCodes:
         assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
         assert not out.exists()
         assert next(iter(bad)) in capsys.readouterr().err
+
+    def test_date_that_is_no_calendar_day_names_key_and_value(self):
+        with pytest.raises(ConfigError, match=r"start_date .*'2015-02-30'"):
+            RunConfig.from_dict({"generator": {"start_date": "2015-02-30"}})
 
     def test_features_model_column_mismatch_exit_5(self, small_run, tmp_path, capsys):
         ccs_map = tmp_path / "ccs_map.csv"
