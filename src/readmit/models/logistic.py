@@ -128,7 +128,7 @@ def fit_logistic_stack(
     diag = np.arange(d + 1)
     nll = stack_nll(X, y, w, b, l2_penalty)
     out_w, out_b, out_nll = np.empty((m, d)), np.empty(m), np.empty(m)
-    converged, n_iter = np.zeros(m, dtype=bool), np.full(m, max_iter)
+    converged, n_iter = np.zeros(m, dtype=bool), np.zeros(m, dtype=int)
     live = np.arange(m)   # the stack's fits, by their index in ``X``
 
     def finish(rows, it, done):
