@@ -6,9 +6,11 @@ budget (``maxnodes``) binds exactly; candidate splits consider ``mtry``
 features sampled without replacement per node (the columns of the node's
 ``mtry`` smallest of ``d`` uniform keys, in key order), with thresholds at
 midpoints between adjacent distinct sorted values, and both children must
-keep at least ``nodesize`` bootstrap rows. Gini importances accumulate the
-weighted impurity decrease per split feature and are normalized to sum to
-one.
+keep at least ``nodesize`` bootstrap rows. Gini importances sum the
+weighted impurity decrease of each split per feature and are normalized to
+sum to one. They are a function of the trees (``_importances``): a split's
+decrease is recomputed from its node's and children's ``n_samples`` and
+``value``, as growth scored it, so a forest cut from another gets its own.
 
 Trees are grown by counting, not by copying rows:
 
@@ -38,11 +40,20 @@ each tree's rows in one ``random((k, d))`` call, k being 1 at the root and
 2 for a split's children, and ranks the keys of every open node of the
 round in one sort. A double costs one 64-bit output of the stream, so node
 i's keys depend only on the nodes created before it. The tree's heap, tie
-counter, importances and histograms are its own, and the float32 sums are
+counter and histograms are its own, and the float32 sums are
 exact in any order (below). So a tree grown in a block is the tree grown
 alone, a smaller forest is a prefix of a larger one, and the tree grown to
 a smaller ``maxnodes`` is the larger-budget tree cut after its first
 splits: the same first nodes, where a node split later is a leaf.
+
+``fit_random_forest(..., grown=forest)`` uses this: given a forest grown
+with the same ``mtry``, ``nodesize`` and ``seed`` on the same rows, with
+at least ``ntree`` trees and at least ``maxnodes``, it grows nothing and
+returns that forest's first ``ntree`` trees, each cut after its first
+``maxnodes - 1`` splits (``_cut``). Split k made nodes 2k+1 and 2k+2, so
+the cut keeps the first ``2 * maxnodes - 1`` nodes and makes a leaf of
+every kept node whose left child lies beyond them. The result equals, bit
+for bit, the forest grown with those parameters.
 
 Memory bounds the block: every queued node holds its own (2, C) float32
 histogram, ~1.5 KB at readmit's C ~ 190, and a tree queues at most about
@@ -184,7 +195,7 @@ def _drawn_columns(keys, mtry: int) -> np.ndarray:
 
 def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
     """Grow one tree per generator in ``rngs``, all in lockstep rounds, and
-    return each tree with its importances, in ``rngs`` order."""
+    return the trees in ``rngs`` order."""
     n, d = coded.below.shape[0], len(coded.uniques)
     below, feature, width = coded.below, coded.feature, coded.below.shape[1]
     w = np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs])
@@ -193,7 +204,6 @@ def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
     sizes = [[n] for _ in rngs]
     positives = [[int(p)] for p in wy.sum(axis=1)]
     splits = [[] for _ in rngs]   # per tree: (node, feature, threshold, left child), in split order
-    importances = [[0.0] * d for _ in rngs]
     heaps = [[] for _ in rngs]
     counters = [itertools.count() for _ in rngs]
 
@@ -273,9 +283,8 @@ def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
         go_left = below[np.concatenate(node_rows), np.repeat(ks, [r.size for r in node_rows])] > 0
         trees, children, parents = [], [], []
         lo = 0
-        for t, (neg_gain, _, k, node, rows, size, pos, hist) in popped:
+        for t, (_, _, k, node, rows, size, pos, hist) in popped:
             j = int(feature[k])
-            importances[t][j] += -neg_gain
             left = len(sizes[t])
             threshold = coded.fixed[k] if k in coded.fixed else coded.threshold(j, k, hist[0])
             splits[t].append((node, j, threshold, left))
@@ -289,8 +298,7 @@ def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
                          (left + 1, rows[~here], size - size_l, pos - pos_l)]
             parents.append(hist)
         consider(trees, children, parents)
-    return [(_tree(sizes[t], positives[t], splits[t]), np.array(importances[t]))
-            for t in range(len(rngs))]
+    return [_tree(sizes[t], positives[t], splits[t]) for t in range(len(rngs))]
 
 
 def _tree(sizes, positives, splits) -> Tree:
@@ -312,6 +320,54 @@ def _tree(sizes, positives, splits) -> Tree:
     return tree
 
 
+def _cut(tree: Tree, maxnodes: int) -> Tree:
+    """``tree`` cut after its first ``maxnodes - 1`` splits: the tree the
+    same draws grow to ``maxnodes``."""
+    m = 2 * maxnodes - 1
+    if tree.feature.size <= m:
+        return tree
+    later = tree.left[:m] >= m   # split k made its left child 2k+1
+    cut = Tree(*(getattr(tree, field)[:m].copy() for field in
+                 ("feature", "threshold", "left", "right", "value", "n_samples")))
+    cut.feature[later] = -1
+    cut.threshold[later] = 0.0
+    cut.left[later] = -1
+    cut.right[later] = -1
+    return cut
+
+
+def _importances(trees: list[Tree], d: int) -> np.ndarray:
+    """Each split's weighted Gini decrease, scored as growth scores it from
+    the node's and its children's (rows, positives), summed per feature in
+    split order within a tree, then over trees in tree order, and
+    normalized to sum to one. A node's positives are ``rint(value *
+    n_samples)``, exact for n <= 2**24 rows."""
+    sizes = [tree.feature.size for tree in trees]
+    offset = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    # Split k of a tree made its nodes 2k+1 and 2k+2, so ordering the split
+    # nodes by their left child's index orders them by tree, then split.
+    left = np.concatenate([tree.left for tree in trees]) + offset
+    node = np.flatnonzero(feature >= 0)
+    node = node[np.argsort(left[node])]
+    left = left[node]
+    rows = np.concatenate([tree.n_samples for tree in trees]).astype(np.float64)
+    pos = np.rint(np.concatenate([tree.value for tree in trees]) * rows)
+
+    def gini(i):
+        return 2.0 * pos[i] * (rows[i] - pos[i]) / rows[i]
+
+    gains = gini(node) - (gini(left) + gini(left + 1))
+    tree_index = np.repeat(np.arange(len(trees)), sizes)[node]
+    per_tree = np.bincount(tree_index * d + feature[node], weights=gains,
+                           minlength=len(trees) * d).reshape(len(trees), d)
+    # cumsum adds in tree order; the dtype covers a forest with no split,
+    # whose bincount holds ints
+    importances = per_tree.cumsum(axis=0, dtype=np.float64)[-1]
+    total = importances.sum()
+    return importances / total if total > 0 else importances
+
+
 def fit_random_forest(
     X,
     y,
@@ -320,9 +376,13 @@ def fit_random_forest(
     nodesize: int,
     maxnodes: int,
     seed: int,
+    grown: RandomForestModel | None = None,
 ) -> RandomForestModel:
-    """Tree t grows from child t of ``seed_sequence(seed).spawn(ntree)``;
-    per-tree importances are summed in tree order."""
+    """Tree t grows from child t of ``seed_sequence(seed).spawn(ntree)``.
+    With ``grown``, a forest fitted on the same X and y with the same
+    ``mtry``, ``nodesize`` and ``seed``, at least ``ntree`` trees and at
+    least ``maxnodes``, no tree is grown: the forest is cut from ``grown``,
+    bit for bit the one these parameters grow."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     n, d = X.shape
@@ -334,19 +394,24 @@ def fit_random_forest(
         raise ValueError("ntree, nodesize and maxnodes must be positive")
     if n > MAX_ROWS:
         raise ValueError(f"{n} training rows exceed the {MAX_ROWS} a tree can count exactly")
-    coded = _CodedMatrix(X)
-    children = seed_sequence(seed).spawn(ntree)
-    trees = []
-    importances = np.zeros(d)
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 on empty sides, masked
-        for b in range(0, ntree, _BLOCK_TREES):
-            rngs = [np.random.Generator(np.random.PCG64(c)) for c in children[b:b + _BLOCK_TREES]]
-            for tree, partial in _fit_trees(coded, y, mtry, nodesize, maxnodes, rngs):
-                trees.append(tree)
-                importances += partial
-    total = importances.sum()
-    if total > 0:
-        importances = importances / total
+    if grown is not None:
+        if ((grown.mtry, grown.nodesize, grown.seed, grown.importances.size)
+                != (mtry, nodesize, seed, d) or grown.ntree < ntree or grown.maxnodes < maxnodes):
+            raise ValueError(
+                f"cannot cut ntree {ntree}, mtry {mtry}, nodesize {nodesize}, maxnodes "
+                f"{maxnodes}, seed {seed} on {d} columns from a forest of ntree {grown.ntree}, "
+                f"mtry {grown.mtry}, nodesize {grown.nodesize}, maxnodes {grown.maxnodes}, "
+                f"seed {grown.seed} on {grown.importances.size} columns")
+        trees = [_cut(tree, maxnodes) for tree in grown.trees[:ntree]]
+    else:
+        coded = _CodedMatrix(X)
+        children = seed_sequence(seed).spawn(ntree)
+        trees = []
+        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 on empty sides, masked
+            for b in range(0, ntree, _BLOCK_TREES):
+                rngs = [np.random.Generator(np.random.PCG64(c))
+                        for c in children[b:b + _BLOCK_TREES]]
+                trees += _fit_trees(coded, y, mtry, nodesize, maxnodes, rngs)
     return RandomForestModel(
         trees=trees,
         ntree=ntree,
@@ -354,7 +419,7 @@ def fit_random_forest(
         nodesize=nodesize,
         maxnodes=maxnodes,
         seed=seed,
-        importances=importances,
+        importances=_importances(trees, d),
     )
 
 

@@ -2,21 +2,25 @@
 
 Every configuration in the Cartesian product is scored by mean validation
 AUC over the same fold set; the winner is the maximal mean, ties broken by
-earliest grid position. Each (configuration, fold) seed derives from the
-master seed and the tags the evaluator's ``seed_tags`` gives, so results do
-not depend on evaluation order or worker count. An SVM cell's tags are its
-grid index and fold. A forest cell's are its (mtry, nodesize) and fold:
-cells that differ only in ntree or maxnodes share their seed, so of two
-such forests the one with fewer trees is a prefix of the other and each
-tree with the smaller budget is a budget prefix of its larger-budget tree
-(``forest.py``).
+earliest grid position. The unit of work is a fold: an evaluator such as
+``rf_fold_auc`` scores every configuration on one fold, and
+``grid_search`` maps the folds over its worker pool (at most one process
+per fold). Each (configuration, fold) seed derives from the master seed,
+so results do not depend on evaluation order or worker count. An SVM
+cell seeds from its grid index and fold. A forest cell seeds from its
+(mtry, nodesize) and fold, so the cells of one (mtry, nodesize) group
+share their seed on a fold, and their forests nest: fewer trees are a
+prefix, and a smaller ``maxnodes`` cuts each tree after its first splits
+(``forest.py``). So a fold grows only each group's largest cell, the one
+with the group's most trees and largest ``maxnodes``, and cuts every
+other cell's forest from it with ``fit_random_forest(..., grown=...)``,
+bit for bit the forest that cell would grow.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -50,32 +54,37 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
     return [dict(zip(names, combo)) for combo in product(*grid.values())]
 
 
-def rf_fold_auc(X, y, fit_idx, val_idx, params: dict, seed: int) -> float:
-    model = fit_random_forest(X[fit_idx], y[fit_idx], seed=seed, **params)
-    return auc_score(rf_predict_proba(model, X[val_idx]), y[val_idx])
+def rf_fold_auc(X, y, fit_idx, val_idx, configs: list[dict], seed: int,
+                fold: int) -> list[float]:
+    """Each forest configuration's validation AUC on one fold: one forest
+    grown per (mtry, nodesize) group, the others cut from it."""
+    X_fit, y_fit, X_val, y_val = X[fit_idx], y[fit_idx], X[val_idx], y[val_idx]
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(configs):
+        groups.setdefault((params["mtry"], params["nodesize"]), []).append(i)
+    aucs = [0.0] * len(configs)
+    for (mtry, nodesize), cells in groups.items():
+        group_seed = derive_seed(seed, FOREST_GRID_STREAM, mtry, nodesize, fold)
+        # A Cartesian grid holds the cell with both the most trees and the
+        # largest budget, and every other cell of the group nests in it.
+        top = max(cells, key=lambda i: (configs[i]["ntree"], configs[i]["maxnodes"]))
+        grown = fit_random_forest(X_fit, y_fit, seed=group_seed, **configs[top])
+        for i in cells:
+            model = grown if i == top else fit_random_forest(
+                X_fit, y_fit, seed=group_seed, grown=grown, **configs[i])
+            aucs[i] = auc_score(rf_predict_proba(model, X_val), y_val)
+    return aucs
 
 
-def svm_fold_auc(X, y, fit_idx, val_idx, params: dict, seed: int) -> float:
-    model = fit_linear_svm(X[fit_idx], y[fit_idx], seed=seed, **params)
-    return auc_score(svm_decision_scores(model, X[val_idx]), y[val_idx])
-
-
-# A (configuration, fold) seeds from its evaluator's ``seed_tags``: an
-# attribute, not an identity test, so a wrapper made with functools.wraps
-# seeds as the function it wraps.
-rf_fold_auc.seed_tags = lambda params, config_index, fold_index: (
-    FOREST_GRID_STREAM, params["mtry"], params["nodesize"], fold_index)
-svm_fold_auc.seed_tags = lambda params, config_index, fold_index: (
-    GRID_STREAM, config_index, fold_index)
-
-
-def _eval_config(config_index, *, evaluator, X, y, folds, configs, seed):
-    params = configs[config_index]
-    return [
-        evaluator(X, y, fit_idx, val_idx, params,
-                  derive_seed(seed, *evaluator.seed_tags(params, config_index, fold_index)))
-        for fold_index, (fit_idx, val_idx) in enumerate(folds)
-    ]
+def svm_fold_auc(X, y, fit_idx, val_idx, configs: list[dict], seed: int,
+                 fold: int) -> list[float]:
+    """Each SVM configuration's validation AUC on one fold."""
+    X_fit, y_fit, X_val, y_val = X[fit_idx], y[fit_idx], X[val_idx], y[val_idx]
+    aucs = []
+    for i, params in enumerate(configs):
+        model = fit_linear_svm(X_fit, y_fit, seed=derive_seed(seed, GRID_STREAM, i, fold), **params)
+        aucs.append(auc_score(svm_decision_scores(model, X_val), y_val))
+    return aucs
 
 
 def grid_search(
@@ -90,15 +99,17 @@ def grid_search(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     configs = expand_grid(grid)
-    worker = partial(_eval_config, evaluator=evaluator, X=X, y=y,
-                     folds=folds, configs=configs, seed=seed)
+    n = len(folds)
+    fit_idx, val_idx = zip(*folds)
+    units = (evaluator, [X] * n, [y] * n, fit_idx, val_idx, [configs] * n, [seed] * n, range(n))
     if jobs > 1:
         # A fork-started pool starts all its workers on the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            rows = list(pool.map(worker, range(len(configs))))
+        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+            columns = list(pool.map(*units))
     else:
-        rows = [worker(i) for i in range(len(configs))]
-    fold_aucs = np.array(rows, dtype=np.float64)
+        columns = list(map(*units))
+    # C order, one row per configuration: each mean sums a contiguous row.
+    fold_aucs = np.array(columns, dtype=np.float64).T.copy()
     mean_aucs = fold_aucs.mean(axis=1)
     return GridSearchResult(
         param_names=list(grid),

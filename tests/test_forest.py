@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readmit.codes import load_code_mappings
-from readmit.dataset import one_hot_encode
+from readmit.dataset import SplitSpec, one_hot_encode, stratified_kfold, train_test_split
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
 from readmit.models import fit_random_forest, rf_importances, rf_predict_proba
 from readmit.models.forest import (
-    RandomForestModel, Tree, _CodedMatrix, _drawn_columns, _fit_trees,
+    RandomForestModel, Tree, _CodedMatrix, _drawn_columns, _fit_trees, _importances,
 )
-from readmit.seeding import seed_sequence
-from readmit.synth import GeneratorConfig, generate
+from readmit.seeding import FOREST_GRID_STREAM, derive_seed, seed_sequence
+from readmit.synth import GeneratorConfig, SignalSpec, generate
 
 from conftest import rf_model_text
 
@@ -199,16 +200,14 @@ class TestLockstep:
         seed = data.draw(st.integers(0, 2**32), label="seed")
         model = fit_random_forest(X, y, ntree=ntree, seed=seed, **params)
         coded = _CodedMatrix(X)
-        importances = np.zeros(d)
+        grown_alone = []
         with np.errstate(divide="ignore", invalid="ignore"):
             for tree, child in zip(model.trees, seed_sequence(seed).spawn(ntree), strict=True):
                 rng = np.random.Generator(np.random.PCG64(child))
-                [(alone, partial)] = _fit_trees(coded, y, rngs=[rng], **params)
+                [alone] = _fit_trees(coded, y, rngs=[rng], **params)
                 _assert_same_tree(tree, alone)
-                importances += partial
-        if importances.sum() > 0:
-            importances /= importances.sum()
-        assert np.array_equal(model.importances, importances)
+                grown_alone.append(alone)
+        assert model.importances.tobytes() == _importances(grown_alone, d).tobytes()
 
 
 def _best_drawn_feature(X, y, w, drawn, nodesize):
@@ -455,3 +454,66 @@ def test_saved_model_bytes_are_pinned(case):
     model = fit_random_forest(X, y, **params)
     text = rf_model_text(model)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_MODEL_SHA256[case]
+
+
+def _fold_zero(config: GeneratorConfig, fold_count: int):
+    """The fit rows of fold 0 of the training side of generated claims,
+    split and folded as a run with ``config.seed`` splits them."""
+    mappings = load_code_mappings()
+    data = generate(config)
+    labeled, _ = build_labeled_admissions(data.medical, mappings)
+    feats = extract_features(labeled, data.medical, data.pharmacy,
+                             data.demographics, mappings)
+    train, _ = train_test_split(one_hot_encode(feats, mappings), SplitSpec(seed=config.seed))
+    fit, _ = stratified_kfold(train.y, fold_count, config.seed)[0]
+    return train.X[fit], train.y[fit]
+
+
+def _chf_signal(strength):
+    return (SignalSpec("comorbidity", "4280", strength, 0.5),)
+
+
+def _golden_pipeline_m_fold():
+    """A 60-tree cell on fold 0 of ``pipeline_m``'s data at seed 1 (300
+    users, 3 folds: ~320 fit rows)."""
+    X, y = _fold_zero(GeneratorConfig(n_users=300, readmission_fraction=0.1,
+                                      signals=_chf_signal(3.0), seed=1), 3)
+    return X, y, dict(ntree=60, mtry=20, nodesize=7, maxnodes=64,
+                      seed=derive_seed(1, FOREST_GRID_STREAM, 20, 7, 0))
+
+
+def _golden_forest_l_fold():
+    """A ``forest_l`` cell on its fold 0 at seed 7 (5,000 users, 10 folds:
+    ~7,200 fit rows), with ``maxnodes`` 300 binding."""
+    X, y = _fold_zero(GeneratorConfig(n_users=5000, readmission_fraction=0.05,
+                                      signals=_chf_signal(math.log(3.0)), seed=7), 10)
+    return X, y, dict(ntree=10, mtry=50, nodesize=7, maxnodes=300,
+                      seed=derive_seed(7, FOREST_GRID_STREAM, 50, 7, 0))
+
+
+# sha256 of ``importances.tobytes()``, recorded while importances were still
+# summed during growth; importances derived from the trees must keep them.
+GOLDEN_IMPORTANCES_SHA256 = {
+    "design_matrix": "9f650369d2922c7c74c9e695f08035fa87b616eff83013f0c733319cb2a368eb",
+    "forest_l_fold": "676042b3d16decbe7a85aeff715f3809545cbaafb78413707e1944730700af08",
+    "gain_ties": "e435d214482bdce3e8b09ac6f21c6145ea01fa806b4abbe9ea7f83361ad98191",
+    "maxnodes_binding": "2e56b959258e62d28d907f32115be2622f70372e39f97c7f868f5c385dfdf406",
+    "pipeline_m_fold": "8d0bf92e6ab3bb2a913ffd909a29e1692adc50b0302713617646a9d96d3ebe3b",
+    "single_class": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+    "tied_integers": "6a4aa6cf44b761b5e455f849ef206773507f9d4dd804ef48af174240213a2008",
+    "xor": "5df186c0c6b38c86c5a996d5ce5e9e2b8f3da480d9ccb9026a84d67367559216",
+}
+IMPORTANCE_CASES = {
+    **GOLDEN_CASES,
+    "pipeline_m_fold": _golden_pipeline_m_fold,
+    "forest_l_fold": _golden_forest_l_fold,
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORTANCE_CASES))
+def test_importances_are_pinned(case):
+    X, y, params = IMPORTANCE_CASES[case]()
+    model = fit_random_forest(X, y, **params)
+    assert model.importances.dtype == np.float64
+    digest = hashlib.sha256(model.importances.tobytes()).hexdigest()
+    assert digest == GOLDEN_IMPORTANCES_SHA256[case]

@@ -5,8 +5,10 @@ import pytest
 
 from readmit.dataset import stratified_kfold
 from readmit.errors import ConfigError
+from readmit.evaluation import auc_score
 from readmit.models import (
-    expand_grid, grid_search, gridsearch, rf_fold_auc, svm_fold_auc, write_grid_csv,
+    expand_grid, fit_random_forest, grid_search, gridsearch, rf_fold_auc, rf_predict_proba,
+    svm_fold_auc, write_grid_csv,
 )
 from readmit.pipeline import DEFAULT_RF_GRID, DEFAULT_SVM_C_GRID
 from readmit.seeding import FOREST_GRID_STREAM, GRID_STREAM, derive_seed
@@ -61,17 +63,26 @@ def test_single_config_wins_trivially():
     assert result.winner == {"C": 0.1, "epochs": 2}
 
 
-def test_results_independent_of_jobs():
-    X, y = small_problem(seed=6)
-    folds = stratified_kfold(y, 2, seed=7)
-    grid = {"ntree": [4, 8], "mtry": [2], "nodesize": [2], "maxnodes": [8]}
+# ntree crosses the 32-tree growth block; maxnodes 4 binds on 150 rows
+# and 1000 does not. Neither group's largest cell comes last in its group.
+ORACLE_GRID = {"ntree": [3, 35], "mtry": [1, 4], "nodesize": [1, 3], "maxnodes": [1000, 4]}
+
+
+@pytest.mark.parametrize("grid,n,n_folds", [
+    ({"ntree": [4, 8], "mtry": [2], "nodesize": [2], "maxnodes": [8]}, 120, 2),
+    (ORACLE_GRID, 150, 3),
+], ids=["one_group", "oracle_grid"])
+def test_results_independent_of_jobs(grid, n, n_folds):
+    X, y = small_problem(seed=6, n=n)
+    folds = stratified_kfold(y, n_folds, seed=7)
     serial = grid_search(rf_fold_auc, grid, X, y, folds, seed=8, jobs=1)
     parallel = grid_search(rf_fold_auc, grid, X, y, folds, seed=8, jobs=2)
-    assert np.array_equal(serial.fold_aucs, parallel.fold_aucs)
+    assert serial.fold_aucs.tobytes() == parallel.fold_aucs.tobytes()
+    assert serial.mean_aucs.tobytes() == parallel.mean_aucs.tobytes()
     assert serial.winner_index == parallel.winner_index
 
 
-def test_worker_pool_capped_at_cell_count(monkeypatch):
+def test_worker_pool_capped_at_fold_count(monkeypatch):
     # A fake pool that maps serially: no process starts, however large jobs is.
     sizes = []
 
@@ -85,8 +96,8 @@ def test_worker_pool_capped_at_cell_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(gridsearch, "ProcessPoolExecutor", SerialPool)
     X, y = small_problem(seed=18)
@@ -95,19 +106,20 @@ def test_worker_pool_capped_at_cell_count(monkeypatch):
     for jobs in (2, 5000):
         result = grid_search(svm_fold_auc, grid, X, y, folds, seed=20, jobs=jobs)
         assert result.fold_aucs.shape == (3, 2)
-    assert sizes == [2, 3]
+    assert sizes == [2, 2]
 
 
 def _captured(monkeypatch, name):
-    """Every value returned through ``gridsearch.<name>``, in call order."""
-    returned, original = [], getattr(gridsearch, name)
+    """(keyword arguments, returned value) of every call through
+    ``gridsearch.<name>``, in call order."""
+    calls, original = [], getattr(gridsearch, name)
 
     def capture(*args, **kwargs):
-        returned.append(original(*args, **kwargs))
-        return returned[-1]
+        calls.append((kwargs, original(*args, **kwargs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(gridsearch, name, capture)
-    return returned
+    return calls
 
 
 def _assert_budget_prefix(small, large):
@@ -132,13 +144,12 @@ def test_forest_cells_nest_over_ntree_and_maxnodes(monkeypatch):
     # fewer trees are a prefix and a smaller budget a budget prefix.
     X, y = small_problem(seed=12, n=160)
     folds = stratified_kfold(y, 2, seed=13)
-    forests = _captured(monkeypatch, "fit_random_forest")
+    calls = _captured(monkeypatch, "fit_random_forest")
     grid = {"ntree": [2, 5], "mtry": [2], "nodesize": [1], "maxnodes": [4, 8]}
     grid_search(rf_fold_auc, grid, X, y, folds, seed=14)
-    fitted = {(f.ntree, f.maxnodes, fold): f
-              for f, fold in zip(forests, [0, 1] * len(expand_grid(grid)), strict=True)}
-    for (_, _, fold), forest in fitted.items():
-        assert forest.seed == derive_seed(14, FOREST_GRID_STREAM, 2, 1, fold)
+    fold_of = {derive_seed(14, FOREST_GRID_STREAM, 2, 1, fold): fold for fold in (0, 1)}
+    fitted = {(f.ntree, f.maxnodes, fold_of[f.seed]): f for _, f in calls}
+    assert len(fitted) == len(calls) == 2 * len(expand_grid(grid))
     budget_binds = False
     for fold in (0, 1):
         for maxnodes in (4, 8):
@@ -157,10 +168,66 @@ def test_forest_cells_nest_over_ntree_and_maxnodes(monkeypatch):
 def test_svm_cells_keep_their_cell_seeds(monkeypatch):
     X, y = small_problem(seed=15)
     folds = stratified_kfold(y, 2, seed=16)
-    models = _captured(monkeypatch, "fit_linear_svm")
+    calls = _captured(monkeypatch, "fit_linear_svm")
     grid_search(svm_fold_auc, {"C": [0.1, 1.0], "epochs": [2]}, X, y, folds, seed=17)
-    assert [m.seed for m in models] == [derive_seed(17, GRID_STREAM, cell, fold)
-                                        for cell in (0, 1) for fold in (0, 1)]
+    # fold-major: a fold is one unit of work
+    assert [m.seed for _, m in calls] == [derive_seed(17, GRID_STREAM, cell, fold)
+                                          for fold in (0, 1) for cell in (0, 1)]
+
+
+def _assert_same_forest(a, b):
+    assert len(a.trees) == len(b.trees)
+    for s, t in zip(a.trees, b.trees):
+        for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
+            x, z = getattr(s, field), getattr(t, field)
+            assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), field
+    assert a.importances.tobytes() == b.importances.tobytes()
+    assert (a.ntree, a.mtry, a.nodesize, a.maxnodes, a.seed) == (
+        b.ntree, b.mtry, b.nodesize, b.maxnodes, b.seed)
+
+
+@pytest.mark.parametrize("data_seed,n_folds,decimals", [(21, 2, 3), (22, 3, 0), (30, 3, 1)])
+def test_every_cell_forest_equals_its_own_fit(monkeypatch, data_seed, n_folds, decimals):
+    # One forest is grown per (mtry, nodesize) group and fold; every other
+    # cell's forest is cut from it, and must be the forest that cell's
+    # parameters and seed grow on their own. Rounding makes tied values.
+    X, y = small_problem(seed=data_seed, n=150)
+    X = X.round(decimals)
+    folds = stratified_kfold(y, n_folds, seed=23)
+    calls = _captured(monkeypatch, "fit_random_forest")
+    result = grid_search(rf_fold_auc, ORACLE_GRID, X, y, folds, seed=24)
+    configs = expand_grid(ORACLE_GRID)
+    assert len(calls) == len(configs) * n_folds
+    groups = {(c["mtry"], c["nodesize"]) for c in configs}
+    assert sum("grown" not in kwargs for kwargs, _ in calls) == len(groups) * n_folds
+    by_cell = {(f.ntree, f.mtry, f.nodesize, f.maxnodes, f.seed): f for _, f in calls}
+    assert len(by_cell) == len(calls)
+    budget_binds = False
+    for fold, (fit_idx, val_idx) in enumerate(folds):
+        for c, params in enumerate(configs):
+            seed = derive_seed(24, FOREST_GRID_STREAM, params["mtry"], params["nodesize"], fold)
+            alone = fit_random_forest(X[fit_idx], y[fit_idx], seed=seed, **params)
+            cut = by_cell[(*params.values(), seed)]
+            _assert_same_forest(cut, alone)
+            assert result.fold_aucs[c, fold] == auc_score(
+                rf_predict_proba(alone, X[val_idx]), y[val_idx])
+            if params["maxnodes"] == 4:
+                unbounded = by_cell[(*{**params, "maxnodes": 1000}.values(), seed)]
+                budget_binds |= any(t.feature.size < u.feature.size
+                                    for t, u in zip(cut.trees, unbounded.trees))
+    assert budget_binds
+
+
+@pytest.mark.parametrize("change", [
+    {"mtry": 3}, {"nodesize": 1}, {"seed": 4}, {"columns": 4}, {"ntree": 6}, {"maxnodes": 9},
+])
+def test_cut_from_a_forest_it_does_not_nest_in_raises(change):
+    X, y = small_problem(seed=28)
+    params = dict(ntree=5, mtry=2, nodesize=2, maxnodes=8, seed=3)
+    grown = fit_random_forest(X, y, **params)
+    columns = change.pop("columns", X.shape[1])
+    with pytest.raises(ValueError, match="cannot cut"):
+        fit_random_forest(X[:, :columns], y, grown=grown, **{**params, **change})
 
 
 def test_grid_csv_shape():
