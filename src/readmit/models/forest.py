@@ -1,104 +1,78 @@
 """Random forest classifier built from scratch.
 
 Each tree trains on a seeded bootstrap sample (n draws with replacement).
-Nodes are grown best-first by Gini impurity decrease so the terminal-node
-budget (``maxnodes``) binds exactly; candidate splits consider ``mtry``
-features sampled without replacement per node (the columns of the node's
-``mtry`` smallest of ``d`` uniform keys, in key order), with thresholds at
-midpoints between adjacent distinct sorted values, and both children must
-keep at least ``nodesize`` bootstrap rows. Gini importances sum the
-weighted impurity decrease of each split per feature and are normalized to
-sum to one. They are a function of the trees (``_importances``): a split's
-decrease is recomputed from its node's and children's ``n_samples`` and
-``value``, as growth scored it, so a forest cut from another gets its own.
+Nodes split in the order they were made, as ``buildtree`` in R's
+randomForest does (Liaw & Wiener, R News 2(3), 2002): node i is taken
+after every node made before it and splits, if it has a valid split, while
+the tree has made fewer than ``maxnodes - 1`` splits, so the terminal-node
+budget binds exactly. A node considers ``mtry`` features sampled without
+replacement (the columns of its ``mtry`` smallest of ``d`` uniform keys,
+in key order), with thresholds at midpoints between adjacent distinct
+values it holds, and both children keep at least ``nodesize`` bootstrap
+rows. The largest Gini decrease wins, a tie going to the earliest drawn
+feature, then to the lowest value. Gini importances sum each split's
+weighted decrease per feature, normalized to sum to one; they are a
+function of the trees (``_importances``), so a cut forest gets its own.
 
-Trees are grown by counting, not by copying rows:
+Trees grow by counting, not by copying rows. The bootstrap is kept as
+multiplicities ``w``: a node holds the distinct rows it covers, and its
+sizes and positive counts are sums of ``w`` and ``w * y``. A node that may
+split holds its histogram, the weighted (rows, positives) at or below
+every distinct value of every column: ``[w; w*y][:, rows] @ below[rows]``
+with the 0/1 matrix of ``_CodedMatrix``. Of a split's children only the
+one with fewer rows is counted; the other is the parent minus it. The
+product runs in float32, exact while every count is an integer no larger
+than n <= 2**24 rows; ``fit_random_forest`` refuses more.
 
-- The bootstrap is kept as multiplicities: ``w[i]`` is how often row ``i``
-  was drawn, and a node holds only the distinct rows it covers (about 63%
-  of n at the root). Sizes, positive counts, ``value`` and ``n_samples``
-  are sums of ``w`` and ``w * y``, the same integers a copied sample gives.
-- A node that can still be split holds its histogram: the weighted (rows,
-  positives) at or below every distinct value of every column, which is
-  one product ``[w; w*y][:, rows] @ below[rows]`` with the 0/1 matrix of
-  ``_CodedMatrix``. When a node is split, only the child with fewer rows
-  is counted; the other child's histogram is the parent's minus it.
-- Trees grow in blocks of ``_BLOCK_TREES`` (32), in lockstep rounds. A
-  round pops the best queued node of every tree that still has budget and
-  splits it: the rows of all popped nodes are routed in one gather, and
-  all their children go to one ``consider``. That call expands the drawn
-  features of every open node into their ``below`` columns with a few
-  numpy calls, scores all of them in one pass and takes each node's winner
-  as the first hit of its segment's maximum, in draw order, so the
-  earliest drawn feature wins a tie.
+Per-call overhead, not arithmetic, bounds a split, so each numpy call
+serves as many splits as it can. Best-first growth knows one node per
+tree to split next; creation order knows a whole generation, the children
+of the last round's splits. So trees grow in blocks of ``_BLOCK_TREES``, a
+generation of every tree per round: one pass scores every open node, each
+tree splits its valid nodes in index order until its budget is spent, the
+rows are routed through ``columns`` in a few calls, and only the small
+child's product and its sibling's subtraction loop in Python, per pair.
+On readmit's lopsided splits a 300-leaf tree takes 30-50 rounds.
 
-Lockstep growth changes no tree. Each tree keeps its own generator and
-draws in the order it would alone: its bootstrap, then one row of ``d``
-double keys per created node (closed nodes too), for its root and then for
-the left and the right child of each split, in split order. A round takes
-each tree's rows in one ``random((k, d))`` call, k being 1 at the root and
-2 for a split's children, and ranks the keys of every open node of the
-round in one sort. A double costs one 64-bit output of the stream, so node
-i's keys depend only on the nodes created before it. The tree's heap, tie
-counter and histograms are its own, and the float32 sums are
-exact in any order (below). So a tree grown in a block is the tree grown
-alone, a smaller forest is a prefix of a larger one, and the tree grown to
-a smaller ``maxnodes`` is the larger-budget tree cut after its first
-splits: the same first nodes, where a node split later is a leaf.
+Each tree has its own generator and draws its bootstrap, then one row of
+``d`` double keys per node it makes, closed nodes too, in creation order:
+``random((1, d))`` for its root and ``random((2 * s, d))`` for the
+children of a round's s splits; a tree with no open node draws no more. A
+double costs one 64-bit output of the stream, so node i's keys depend only
+on the nodes made before it, and sums of integers are exact in any order:
+a tree grown in a block is the tree grown alone. Split k makes nodes 2k+1
+and 2k+2, so a smaller forest is a prefix of a larger one, and the tree
+grown to a smaller ``maxnodes`` is the larger-budget tree cut after its
+first splits, the later-split nodes leaves: ``fit_random_forest(...,
+grown=forest)`` cuts forests so (``_cut``), bit for bit the grown ones.
 
-``fit_random_forest(..., grown=forest)`` uses this: given a forest grown
-with the same ``mtry``, ``nodesize`` and ``seed`` on the same rows, with
-at least ``ntree`` trees and at least ``maxnodes``, it grows nothing and
-returns that forest's first ``ntree`` trees, each cut after its first
-``maxnodes - 1`` splits (``_cut``). Split k made nodes 2k+1 and 2k+2, so
-the cut keeps the first ``2 * maxnodes - 1`` nodes and makes a leaf of
-every kept node whose left child lies beyond them. The result equals, bit
-for bit, the forest grown with those parameters.
+Memory: a round holds each open node's (2, C) float32 histogram, ~1.5 KB
+at readmit's C ~ 190, and its d keys, ranked in one sort; a tree keeps
+only its open nodes' keys. A tree has at most ``maxnodes`` open nodes in
+a round, so a 32-tree block at ``maxnodes`` 300 holds at most ~15 MB of
+histograms; on readmit's data a round of the block has at most ~800 open
+nodes, ~1.2 MB of histograms and ~2.4 MB of keys and ranks. Nodes are
+scored ``_SCORE_NODES`` at a time. ``rf_predict_proba`` walks every (tree,
+row) pair of a block through the trees' concatenated nodes at once.
 
-Memory bounds the block: every queued node holds its own (2, C) float32
-histogram, ~1.5 KB at readmit's C ~ 190, and a tree queues at most about
-``maxnodes`` of them, so a block at ``maxnodes`` 300 holds <= ~15 MB.
-``rf_predict_proba`` scores the same blocks: it walks every (tree, row)
-pair of a block through the trees' concatenated nodes at once and adds
-the trees' scores in tree order, so a block of 32 trees on 8,000 rows
-holds ~2 MB per index array.
-
-The product runs in float32. Every sum is an integer no larger than n, so
-it is exact for n <= 2**24 rows; ``fit_random_forest`` refuses more.
-
-``below`` is built once per fit: a column that holds only its min and max
-needs no sort, the others get a plain sort and a neighbour test (no
-``np.unique(return_inverse=True)``, which argsorts), then each block of
-rows is compared with every candidate value at once, straight into one
-preallocated float32 array.
-It is C-ordered, n x (distinct values - 1 summed over columns), because a
-node gathers whole rows of it; n x ~190 (~5.5 MB at 7,200 rows) on
-readmit's design matrix, whose columns hold few distinct values. A
-continuous column costs about n columns. -0.0 and 0.0 are one value.
-
-Per-call overhead, not arithmetic, bounds a split: on 7,200 rows a tree
-grown on its own pays ~100 us per split, of which the histogram product
-is ~15 us. So the numpy calls of a round serve the whole block, and
-``np.errstate`` is entered once per fit. In a 32-tree block a split costs
-~60-70 us: the small child's row gather and product ~25-30 us, the two
-children's key rows and their share of the round's sort ~5-7 us,
-routing the rows ~10 us, and scoring and queueing ~10 us; the rest is
-Python bookkeeping per split.
+On 7,200 rows in 32-tree blocks at ``maxnodes`` 300, a split costs ~20-30
+us on a 2-vCPU x86 VM: the small child's gather, product and subtraction
+~9-11, routing ~4-6, keys ~4-5, scoring ~2-4, the rest ~2-3.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..seeding import seed_sequence
+from .labels import binary_labels
 
 MAX_ROWS = 2 ** 24   # float32 holds every integer count up to here exactly
 _CODE_ROWS = 32      # rows per block when building the 0/1 matrix
 _BLOCK_TREES = 32    # trees grown, and scored, together
+_SCORE_NODES = 256   # nodes scored per call, bounding its float64 temporaries
 
 
 @dataclass
@@ -123,15 +97,18 @@ class RandomForestModel:
 
 
 class _CodedMatrix:
-    """Cumulative value indicators for split search by counting.
+    """Cumulative value indicators for split search by counting, built
+    once per fit.
 
     ``uniques[j]`` holds the sorted distinct values of column j. ``below``
     has one 0/1 column per (j, b) for every b but the last, set on the rows
-    where ``x_j <= uniques[j][b]``: the candidate split at that value.
+    where ``x_j <= uniques[j][b]``: the candidate split at that value, which
+    ``values`` holds. It is C-ordered, as a node gathers whole rows of it:
+    n x ~190 on readmit's design matrix (~5.5 MB at 7,200 rows); a
+    continuous column costs about n columns. ``columns`` is ``below``
+    transposed, as booleans, so routing a node's rows reads one line of it.
     ``feature`` gives the column j of each ``below`` column, ``start`` the
     first ``below`` column of each j and ``widths`` how many j has.
-    ``fixed`` maps the one ``below`` column of each two-valued column to its
-    threshold, which is the same in every node.
     """
 
     def __init__(self, X):
@@ -146,6 +123,7 @@ class _CodedMatrix:
         ends = X == lo
         ends |= X == hi
         ends = ends.all(axis=0)
+        self.X = X
         self.uniques = []
         for j, column in enumerate(X.T):
             if ends[j]:
@@ -156,29 +134,12 @@ class _CodedMatrix:
         self.widths = np.array([u.size - 1 for u in self.uniques])
         self.feature = np.repeat(np.arange(self.widths.size), self.widths)
         self.start = np.cumsum(self.widths) - self.widths
-        values = np.concatenate([u[:-1] for u in self.uniques])
-        self.below = np.empty((X.shape[0], values.size), dtype=np.float32)
+        self.values = np.concatenate([u[:-1] for u in self.uniques])
+        self.below = np.empty((X.shape[0], self.values.size), dtype=np.float32)
         for r in range(0, X.shape[0], _CODE_ROWS):
-            np.less_equal(X[r:r + _CODE_ROWS].take(self.feature, axis=1), values,
+            np.less_equal(X[r:r + _CODE_ROWS].take(self.feature, axis=1), self.values,
                           out=self.below[r:r + _CODE_ROWS])
-        self.fixed = {k: self.threshold(j, k, values)   # one candidate: any counts will do
-                      for j, k in enumerate(self.start.tolist()) if self.widths[j] == 1}
-
-    def threshold(self, j: int, k: int, counts_below) -> float:
-        """Threshold of the split at ``below`` column k (of column j) of a
-        node whose weighted row counts per ``below`` column are
-        ``counts_below``: the midpoint between k's value and the next larger
-        value the node holds."""
-        uniq = self.uniques[j]
-        s = int(self.start[j])
-        column = counts_below[s:s + uniq.size - 1]
-        b = k - s
-        lo = float(uniq[b])
-        hi = float(uniq[column.searchsorted(column[b], side="right")])
-        threshold = (lo + hi) / 2.0
-        if not lo < threshold < hi:
-            threshold = lo   # adjacent floats: keep the float and rank splits equal
-        return threshold
+        self.columns = self.below.T.astype(bool, order="C")
 
 
 def _drawn_columns(keys, mtry: int) -> np.ndarray:
@@ -193,131 +154,170 @@ def _drawn_columns(keys, mtry: int) -> np.ndarray:
     return ranked[:, :mtry] & column_bits
 
 
+def _starts(lengths):
+    return np.cumsum(lengths) - lengths
+
+
+def _segments(starts, lengths):
+    """The indices in ``[starts[i], starts[i] + lengths[i])``, i in turn."""
+    return np.repeat(starts - _starts(lengths), lengths) + np.arange(lengths.sum())
+
+
+def _best_splits(coded: _CodedMatrix, hist, size, pos, drawn, nodesize):
+    """Each node's best split over the ``below`` columns of its ``drawn``
+    features: the column and its gain, -inf where no column splits the
+    node. ``hist[i]`` holds node i's weighted (rows, positives) at or below
+    each ``below`` column. Ties go to the earliest drawn feature, then to
+    the lowest value."""
+    m, width = hist.shape[0], hist.shape[2]
+    k, gain = np.zeros(m, dtype=np.intp), np.full(m, -np.inf)
+    # Score only the drawn features' below columns, in draw order: each
+    # (node, feature) expands to its range of below columns. An empty rank
+    # needs no test of its own: its split equals that of the nearest
+    # non-empty rank below it, which wins the tie, or leaves no rows on the
+    # left and is invalid.
+    drawn = drawn.ravel()
+    per_draw = coded.widths[drawn]
+    lengths = per_draw.reshape(m, -1).sum(axis=1)
+    total = int(lengths.sum())
+    if not total:   # every drawn column constant
+        return k, gain
+    cols = _segments(coded.start[drawn], per_draw)
+    at = np.repeat(np.arange(m) * (2 * width), lengths) + cols   # into hist.ravel()
+    flat = hist.ravel()
+    size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
+    tot = np.repeat(np.stack([size_f, pos_f, 2.0 * pos_f * (size_f - pos_f) / size_f]),
+                    lengths, axis=1)
+    sides = np.empty((2, 2, total))                # (left, right) x (rows, positives)
+    sides[0, 0], sides[0, 1] = flat[at], flat[at + width]
+    np.subtract(tot[:2], sides[0], out=sides[1])
+    side_n, side_pos = sides[:, 0], sides[:, 1]
+    gini = 2.0 * side_pos * (side_n - side_pos) / side_n
+    gains = tot[2] - (gini[0] + gini[1])
+    gains[side_n.min(axis=0) < nodesize] = -np.inf
+    # Each node's winner: its segment's max, at the segment's first hit.
+    scored = lengths > 0
+    lengths, first = lengths[scored], _starts(lengths)[scored]
+    best = np.maximum.reduceat(gains, first)
+    hits = np.where(gains == np.repeat(best, lengths), np.arange(total), total)
+    k[scored], gain[scored] = cols[np.minimum.reduceat(hits, first)], best
+    return k, gain
+
+
 def _fit_trees(coded: _CodedMatrix, y, mtry, nodesize, maxnodes, rngs):
-    """Grow one tree per generator in ``rngs``, all in lockstep rounds, and
-    return the trees in ``rngs`` order."""
-    n, d = coded.below.shape[0], len(coded.uniques)
-    below, feature, width = coded.below, coded.feature, coded.below.shape[1]
+    """Grow one tree per generator in ``rngs``, a generation of every tree
+    per round, and return the trees in ``rngs`` order."""
+    below, (n, d), block = coded.below, coded.X.shape, len(rngs)
     w = np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs])
     wy = w * y
     counts = np.stack([w, wy], axis=1).astype(np.float32)   # tree x (rows, positives) x n
-    sizes = [[n] for _ in rngs]
-    positives = [[int(p)] for p in wy.sum(axis=1)]
-    splits = [[] for _ in rngs]   # per tree: (node, feature, threshold, left child), in split order
-    heaps = [[] for _ in rngs]
-    counters = [itertools.count() for _ in rngs]
+    budget = np.full(block, maxnodes - 1)   # splits each tree may still make
+    # Per round: every created node (tree, rows, positives) and every split
+    # (tree, node, feature, threshold, left child)
+    nodes, splits = [(np.arange(block), w.sum(axis=1), wy.sum(axis=1))], []
 
-    def consider(trees, nodes, parents):
-        """Draw features for each (node, rows, size, positives) of tree
-        ``trees[i]`` in order and queue the best split of each node that has
-        one. ``nodes`` are roots (``parents`` None) or sibling pairs, left
-        then right, whose parent histograms ``parents`` holds. Ties go to
-        the earliest drawn feature, then to the lowest value."""
-        per_tree = 1 if parents is None else 2
-        keys = np.concatenate([rngs[t].random((per_tree, d)) for t in trees[::per_tree]])
-        size = np.array([node[2] for node in nodes])
-        pos = np.array([node[3] for node in nodes])
-        open_ = np.flatnonzero((size >= 2 * nodesize) & (0 < pos) & (pos < size))
-        if not open_.size or not width:   # nothing to split, or every column constant
-            return
-        # hist[i] holds node i's weighted (rows, positives) at or below each
-        # below column; only pairs with an open node are counted
-        if parents is None:
-            hist = (counts[trees].reshape(-1, n) @ below).reshape(len(nodes), 2, width)
-        else:
-            hist = np.empty((len(nodes), 2, width), dtype=np.float32)
-            for p in dict.fromkeys((open_ // 2).tolist()):
-                t, rows_l, rows_r = trees[2 * p], nodes[2 * p][1], nodes[2 * p + 1][1]
-                small = int(rows_r.size < rows_l.size)
-                rows = rows_r if small else rows_l
-                np.matmul(counts[t].take(rows, axis=1), below.take(rows, axis=0),
-                          out=hist[2 * p + small])
-                np.subtract(parents[p], hist[2 * p + small], out=hist[2 * p + 1 - small])
-        # Score only the drawn features' below columns, in draw order: each
-        # (node, feature) expands to its range of below columns. An empty
-        # rank needs no test of its own: its split equals that of the
-        # nearest non-empty rank below it, which wins the tie, or leaves no
-        # rows on the left and is invalid.
-        drawn = _drawn_columns(keys[open_], mtry).ravel()
-        per_draw = coded.widths[drawn]
-        lengths = per_draw.reshape(open_.size, mtry).sum(axis=1)
-        total = int(lengths.sum())
-        if not total:
-            return
-        cols = np.arange(total) + np.repeat(coded.start[drawn] - (np.cumsum(per_draw) - per_draw),
-                                            per_draw)
-        at = np.repeat(open_ * (2 * width), lengths) + cols   # into hist.ravel()
-        flat = hist.ravel()
-        size_f, pos_f = size[open_].astype(np.float64), pos[open_].astype(np.float64)
-        tot = np.repeat(np.stack([size_f, pos_f, 2.0 * pos_f * (size_f - pos_f) / size_f]),
-                        lengths, axis=1)
-        sides = np.empty((2, 2, total))                # (left, right) x (rows, positives)
-        sides[0, 0], sides[0, 1] = flat[at], flat[at + width]
-        np.subtract(tot[:2], sides[0], out=sides[1])
-        side_n, side_pos = sides[:, 0], sides[:, 1]
-        gini = 2.0 * side_pos * (side_n - side_pos) / side_n
-        gains = tot[2] - (gini[0] + gini[1])
-        gains[side_n.min(axis=0) < nodesize] = -np.inf
-        # Each node's winner: its segment's max, at the segment's first hit.
-        scored = lengths > 0
-        lengths, first = lengths[scored], (np.cumsum(lengths) - lengths)[scored]
-        best = np.maximum.reduceat(gains, first)
-        hits = np.where(gains == np.repeat(best, lengths), np.arange(total), total)
-        winners = np.minimum.reduceat(hits, first)
-        for i, k, gain in zip(open_[scored].tolist(), cols[winners].tolist(), best.tolist()):
-            if gain > 0.0:
-                t = trees[i]
-                node, node_rows, node_size, node_pos = nodes[i]
-                heapq.heappush(heaps[t], (-gain, next(counters[t]), k, node, node_rows,
-                                          node_size, node_pos, hist[i].copy()))
+    def splittable(tree, size, pos):
+        return (size >= 2 * nodesize) & (0 < pos) & (pos < size) & (budget[tree] > 0)
 
-    consider(list(range(len(rngs))), [(0, np.flatnonzero(row), n, positives[t][0])
-                                      for t, row in enumerate(w)], None)
-    while True:
-        popped = [(t, heapq.heappop(heap)) for t, heap in enumerate(heaps)
-                  if heap and len(splits[t]) + 1 < maxnodes]
-        if not popped:
+    def draw(tree, open_):
+        # The drawn columns of the open ones of new nodes of trees ``tree``,
+        # in order; a tree with none open is done and draws nothing.
+        keys, lo = [np.empty((0, d))], 0
+        for t, (c, o) in enumerate(zip(np.bincount(tree, minlength=block).tolist(),
+                                       np.bincount(tree[open_], minlength=block).tolist())):
+            if o:
+                keys.append(rngs[t].random((c, d))[open_[lo:lo + c]])
+            lo += c
+        return _drawn_columns(np.concatenate(keys), mtry)
+
+    # The generation's open nodes, by tree then index; the rows of node i
+    # are rows[start[i]:start[i] + length[i]].
+    open_ = splittable(*nodes[0])
+    drawn = draw(nodes[0][0], open_)
+    (tree, size, pos), index = (a[open_] for a in nodes[0]), np.zeros(open_.sum(), int)
+    hist = (counts[tree].reshape(-1, n) @ below).reshape(tree.size, 2, below.shape[1])
+    length = np.count_nonzero(w[tree], axis=1)
+    rows, start = np.flatnonzero(w[tree]) % n, _starts(length)
+    while tree.size:
+        scores = [_best_splits(coded, hist[a:a + _SCORE_NODES], size[a:a + _SCORE_NODES],
+                               pos[a:a + _SCORE_NODES], drawn[a:a + _SCORE_NODES], nodesize)
+                  for a in range(0, tree.size, _SCORE_NODES)]
+        k, gain = (np.concatenate(v) for v in zip(*scores))
+        # Split the valid nodes in index order while the tree's budget lasts.
+        valid = gain > 0.0
+        seen = np.cumsum(valid)
+        rank = seen - (seen - valid)[np.searchsorted(tree, tree)]   # among the tree's valid
+        take = np.flatnonzero(valid & (rank <= budget[tree]))
+        if not take.size:
             break
-        ks = [entry[2] for _, entry in popped]
-        node_rows = [entry[4] for _, entry in popped]
-        go_left = below[np.concatenate(node_rows), np.repeat(ks, [r.size for r in node_rows])] > 0
-        trees, children, parents = [], [], []
-        lo = 0
-        for t, (_, _, k, node, rows, size, pos, hist) in popped:
-            j = int(feature[k])
-            left = len(sizes[t])
-            threshold = coded.fixed[k] if k in coded.fixed else coded.threshold(j, k, hist[0])
-            splits[t].append((node, j, threshold, left))
-            size_l, pos_l = int(hist[0, k]), int(hist[1, k])
-            sizes[t] += [size_l, size - size_l]
-            positives[t] += [pos_l, pos - pos_l]
-            here = go_left[lo:lo + rows.size]
-            lo += rows.size
-            trees += [t, t]
-            children += [(left, rows[here], size_l, pos_l),
-                         (left + 1, rows[~here], size - size_l, pos - pos_l)]
-            parents.append(hist)
-        consider(trees, children, parents)
-    return [_tree(sizes[t], positives[t], splits[t]) for t in range(len(rngs))]
+        hist, k, tree, size, pos = hist[take], k[take], tree[take], size[take], pos[take]
+        per_tree = np.bincount(tree, minlength=block)
+        split = maxnodes - 1 - budget[tree] + np.arange(take.size) - _starts(per_tree)[tree]
+        left = 2 * split + 1   # split k of a tree makes its nodes 2k+1 and 2k+2
+        budget -= per_tree
+        length = length[take]
+        rows = rows.take(_segments(start[take], length))
+        go_left = coded.columns.take(np.repeat(k * n, length) + rows)   # columns[k, rows]
+        rows_l, rows_r = rows[go_left], rows[~go_left]
+        length_l = np.add.reduceat(go_left, _starts(length), dtype=np.int64)
+        length_r = length - length_l
+        # Threshold: the midpoint of the split's value and the next larger
+        # value the node holds, the least on the right.
+        feature, lo = coded.feature[k], coded.values[k]
+        hi = np.minimum.reduceat(coded.X.take(rows_r * d + np.repeat(feature, length_r)),
+                                 _starts(length_r))
+        threshold = (lo + hi) / 2.0
+        threshold = np.where((lo < threshold) & (threshold < hi), threshold, lo)
+        splits.append((tree, index[take], feature, threshold, left))
+        # The children, left then right of each split
+        size_l, pos_l = hist[np.arange(take.size), :, k].T.astype(np.int64)
+        tree = np.repeat(tree, 2)
+        size = np.stack([size_l, size - size_l], axis=1).ravel()
+        pos = np.stack([pos_l, pos - pos_l], axis=1).ravel()
+        nodes.append((tree, size, pos))
+        index = np.stack([left, left + 1], axis=1).ravel()
+        length = np.stack([length_l, length_r], axis=1).ravel()
+        start = np.stack([_starts(length_l), rows_l.size + _starts(length_r)], axis=1).ravel()
+        rows = np.concatenate([rows_l, rows_r])
+        open_ = splittable(tree, size, pos)
+        drawn = draw(tree, open_)
+        # Of each pair with an open child, count the child with fewer rows
+        # (the left on a tie); the other is the parent minus it.
+        slot = np.where(open_, np.cumsum(open_) - 1, -1)   # the last row of counted is spare
+        counted = np.empty((int(open_.sum()) + 1, 2, below.shape[1]), dtype=np.float32)
+        pairs = np.flatnonzero(open_.reshape(-1, 2).any(axis=1))
+        small = 2 * pairs + (length_r < length_l)[pairs]
+        for p, t, a, b, s, o in zip(pairs.tolist(), tree[small].tolist(), start[small].tolist(),
+                                    (start + length)[small].tolist(), slot[small].tolist(),
+                                    slot[small ^ 1].tolist()):
+            r = rows[a:b]
+            np.matmul(counts[t].take(r, axis=1), below.take(r, axis=0), out=counted[s])
+            if o >= 0:
+                np.subtract(hist[p], counted[s], out=counted[o])
+        hist, tree, size, pos = counted[:-1], tree[open_], size[open_], pos[open_]
+        index, start, length = index[open_], start[open_], length[open_]
+    return _trees(block, nodes, splits)
 
 
-def _tree(sizes, positives, splits) -> Tree:
-    m = len(sizes)
-    tree = Tree(
-        feature=np.full(m, -1, dtype=np.int32),
-        threshold=np.zeros(m),
-        left=np.full(m, -1, dtype=np.int32),
-        right=np.full(m, -1, dtype=np.int32),
-        value=np.array(positives) / np.array(sizes),
-        n_samples=np.array(sizes, dtype=np.int32),
-    )
-    if splits:
-        nodes, feats, thresholds, lefts = (list(v) for v in zip(*splits))
-        tree.feature[nodes] = feats
-        tree.threshold[nodes] = thresholds
-        tree.left[nodes] = lefts
-        tree.right[nodes] = np.array(lefts) + 1
-    return tree
+def _trees(block, nodes, splits) -> list[Tree]:
+    """The block's trees from the rounds' created nodes and splits, each
+    round's (tree, ...) arrays holding a tree's in index order."""
+    def by_tree(arrays):
+        tree, *fields = (np.concatenate(v) for v in zip(*arrays))
+        order = np.argsort(tree, kind="stable")
+        bounds = np.cumsum(np.bincount(tree, minlength=block))[:-1]
+        return zip(*(np.split(f[order], bounds) for f in fields))
+
+    trees = []
+    for (size, pos), (node, feature, threshold, left) in zip(
+            by_tree(nodes), by_tree(splits or [(np.empty(0, int),) * 5])):
+        m = size.size
+        tree = Tree(np.full(m, -1, dtype=np.int32), np.zeros(m), np.full(m, -1, dtype=np.int32),
+                    np.full(m, -1, dtype=np.int32), pos / size, size.astype(np.int32))
+        tree.feature[node], tree.threshold[node] = feature, threshold
+        tree.left[node], tree.right[node] = left, left + 1
+        trees.append(tree)
+    return trees
 
 
 def _cut(tree: Tree, maxnodes: int) -> Tree:
@@ -384,8 +384,8 @@ def fit_random_forest(
     least ``maxnodes``, no tree is grown: the forest is cut from ``grown``,
     bit for bit the one these parameters grow."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y).astype(np.int64)
     n, d = X.shape
+    y = binary_labels(y, n).astype(np.int64)
     if n == 0:
         raise ValueError("empty training set")
     if not 1 <= mtry <= d:

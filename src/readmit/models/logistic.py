@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .labels import binary_labels
+
 
 @dataclass
 class LogisticModel:
@@ -112,7 +114,7 @@ def fit_logistic_stack(
     slice C- or F-contiguous), all on labels ``y``; each converged when its
     gradient max-norm drops below ``tol``. ``start`` is an optional
     ``(weights (m, d), intercepts (m,))`` to begin from instead of zeros."""
-    y = np.asarray(y, dtype=np.float64)
+    y = binary_labels(y, X.shape[1]).astype(np.float64)
     if l2_penalty < 0:
         raise ValueError("l2_penalty must be non-negative")
     if y.min() == y.max():

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..seeding import SVM_STREAM, rng_for
+from .labels import binary_labels
 
 
 @dataclass
@@ -36,7 +37,7 @@ def fit_linear_svm(
     seed: int = 0,
 ) -> LinearSvmModel:
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
+    y = binary_labels(y, X.shape[0])
     if C <= 0:
         raise ValueError("C must be positive")
     if y.min() == y.max():

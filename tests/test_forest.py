@@ -68,6 +68,17 @@ class TestFit:
         with pytest.raises(ValueError, match="column 1"):
             fit_random_forest(X, y, ntree=5, mtry=1, nodesize=1, maxnodes=10, seed=0)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 2] * 15, "labels must be 0 or 1, got 2 at row 1"),
+        ([1, 0] * 14 + [1, -1], "labels must be 0 or 1, got -1 at row 29"),
+        ([0, 1] * 14, r"28 labels of shape \(28,\) for 30 rows of X"),
+    ])
+    def test_bad_labels_named(self, labels, message):
+        X = np.random.default_rng(1).normal(size=(30, 4))
+        with pytest.raises(ValueError, match=message):
+            fit_random_forest(X, np.array(labels), ntree=2, mtry=2, nodesize=1,
+                              maxnodes=8, seed=0)
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             fit_random_forest(np.empty((0, 2)), np.empty(0), ntree=5, mtry=1,
@@ -260,6 +271,124 @@ class TestKeyedDraws:
                 X, y, w * side, np.argsort(keys)[:mtry], nodesize)
 
 
+def _oracle_tree(X, y, rng, mtry, nodesize, maxnodes):
+    """A tree grown one node at a time in creation order, by brute force
+    on bootstrap multiplicities. Node i draws ``random((1, d))`` when it is
+    taken and splits on the best value of its drawn columns (the columns of
+    its ``mtry`` smallest keys, in key order, the lower column first on a
+    tie), if the budget of ``maxnodes - 1`` splits is not spent. Returns
+    the tree and its splits' (feature, Gini decrease) in split order."""
+    n, d = X.shape
+    held = [np.bincount(rng.integers(0, n, n), minlength=n)]   # each node's multiplicities
+    feature, threshold, left, gains = {}, {}, {}, []
+    i = 0
+    while i < len(held) and len(gains) < maxnodes - 1:
+        w = held[i]
+        size, pos = int(w.sum()), int(w @ y)
+        drawn = np.argsort(rng.random((1, d))[0], kind="stable")[:mtry]
+        best = None
+        if size >= 2 * nodesize and 0 < pos < size:
+            parent = 2.0 * pos * (size - pos) / size
+            best_gain = 0.0
+            for j in drawn:
+                values = np.unique(X[w > 0, j])
+                for b, v in enumerate(values[:-1]):
+                    side = X[:, j] <= v
+                    n_l, p_l = int(w[side].sum()), int(w[side] @ y[side])
+                    n_r, p_r = size - n_l, pos - p_l
+                    if min(n_l, n_r) < nodesize:
+                        continue
+                    gain = parent - (2.0 * p_l * (n_l - p_l) / n_l
+                                     + 2.0 * p_r * (n_r - p_r) / n_r)
+                    if gain > best_gain:
+                        best, best_gain = (j, v, values[b + 1], side), gain
+        if best is not None:
+            j, lo, hi, side = best
+            mid = (lo + hi) / 2.0
+            feature[i], threshold[i], left[i] = j, mid if lo < mid < hi else lo, len(held)
+            gains.append((j, best_gain))
+            held += [w * side, w * ~side]
+        i += 1
+    m = len(held)
+    sizes = np.array([h.sum() for h in held])
+    tree = Tree(feature=np.full(m, -1, dtype=np.int32), threshold=np.zeros(m),
+                left=np.full(m, -1, dtype=np.int32), right=np.full(m, -1, dtype=np.int32),
+                value=np.array([h @ y for h in held]) / sizes,
+                n_samples=sizes.astype(np.int32))
+    for node in feature:
+        tree.feature[node], tree.threshold[node] = feature[node], threshold[node]
+        tree.left[node], tree.right[node] = left[node], left[node] + 1
+    return tree, gains
+
+
+@st.composite
+def _oracle_designs(draw):
+    """Small designs whose values come from a drawn seed, so most of them
+    split: integer levels, quarters, constant and duplicate columns."""
+    n = draw(st.integers(1, 40), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32), label="data seed"))
+    columns = []
+    for _ in range(draw(st.integers(1, 5), label="d")):
+        kind = draw(st.sampled_from(["levels", "quarters", "constant", "duplicate"]))
+        if kind == "duplicate" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))].copy())
+        elif kind == "constant":
+            columns.append(np.full(n, float(draw(st.integers(-2, 2)))))
+        else:
+            values = rng.integers(0, draw(st.integers(2, 12)), n).astype(float)
+            columns.append(values / 4.0 if kind == "quarters" else values)
+    X = np.column_stack(columns)
+    y = (rng.random(n) < draw(st.sampled_from([0.2, 0.5]))).astype(int)
+    params = dict(ntree=draw(st.sampled_from([1, 2, 31, 33])),
+                  mtry=draw(st.integers(1, X.shape[1])),
+                  nodesize=draw(st.sampled_from([1, 2, 5])),
+                  maxnodes=draw(st.sampled_from([1, 2, 3, 6, 10_000])),
+                  seed=draw(st.integers(0, 2**32), label="seed"))
+    return X, y, params
+
+
+class TestCreationOrder:
+    """Trees grow in creation (FIFO) order: node i is taken after every
+    node made before it, and split k makes nodes 2k+1 and 2k+2."""
+
+    @given(_oracle_designs())
+    def test_every_tree_equals_the_one_node_at_a_time_grower(self, design):
+        X, y, params = design
+        model = fit_random_forest(X, y, **params)
+        importances = np.zeros(X.shape[1])
+        children = seed_sequence(params["seed"]).spawn(params["ntree"])
+        for tree, child in zip(model.trees, children, strict=True):
+            rng = np.random.Generator(np.random.PCG64(child))
+            oracle, gains = _oracle_tree(X, y, rng, params["mtry"], params["nodesize"],
+                                         params["maxnodes"])
+            for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                a, b = getattr(tree, field), getattr(oracle, field)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field
+            per_tree = np.zeros(X.shape[1])
+            for j, gain in gains:
+                per_tree[j] += gain
+            importances += per_tree
+        total = importances.sum()
+        if total > 0:
+            importances = importances / total
+        assert model.importances.tobytes() == importances.tobytes()
+
+    @given(st.data())
+    def test_split_nodes_come_in_index_order(self, data):
+        n = data.draw(st.integers(2, 60), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="data seed"))
+        X = rng.integers(0, data.draw(st.integers(2, 8)), (n, 4)).astype(float)
+        y = (rng.random(n) < 0.4).astype(int)
+        model = fit_random_forest(X, y, ntree=data.draw(st.integers(1, 40)), mtry=2,
+                                  nodesize=data.draw(st.integers(1, 3)),
+                                  maxnodes=data.draw(st.sampled_from([2, 5, 10_000])), seed=3)
+        for tree in model.trees:
+            split = np.flatnonzero(tree.feature >= 0)
+            # Ordered by index, split nodes made their children in turn:
+            # split k, the k-th split node by index, made nodes 2k+1 and 2k+2.
+            assert np.array_equal(tree.left[split], 2 * np.arange(split.size) + 1)
+
+
 class TestPrediction:
     def test_single_pure_leaf_tree(self):
         tree = Tree(
@@ -431,12 +560,12 @@ def _golden_gain_ties():
 # sha256 of the saved rf_best model file; a change to tree growth that
 # keeps these digests keeps every model file byte for byte.
 GOLDEN_MODEL_SHA256 = {
-    "xor": "6ad6e4d0f8bd3168d3c836da04132ae3da54e273f537060b5f5fec38a0ea346f",
-    "tied_integers": "570ce9b6f438e991e63033e6543c08a1964dc62f35251cc92b0fbd4eb73b3e28",
-    "maxnodes_binding": "9d0701010205e50bac4881f4015a1908b953e644fafce5ef624ebf170b17ac75",
+    "xor": "d1c3087132a4564df068f1fd5d6d7aebed7de259a18c1d255e032a4d50d44284",
+    "tied_integers": "3983243fe0be9bf83d2ff8c6462f466500ad629676cc055cf38855df10b8497e",
+    "maxnodes_binding": "10a0c12e188cddaa07e9ce1c3efa4792694b501e5dbafe2365f841eb82d9f5b5",
     "single_class": "867743c7fe9f9c659ed65db40738af703f1f77c5187c9a4590660b51d077e64e",
-    "design_matrix": "c2c53da69b9daa05c7eb14bc38ff485230b33814eb521573b3b974cbc03d2eb8",
-    "gain_ties": "41791e8aa2e7ad37efd994a805de6cd38a5be6be8a0b889b6185952528e064f5",
+    "design_matrix": "08f28b05a4abc4e227621de41e47233323616833c95667ee062aed22e5d8fc65",
+    "gain_ties": "8b6b9a8cbff9e93ac5e6ddc6853c4712d7b9da2ba92bb9cf9580c984e43c216b",
 }
 GOLDEN_CASES = {
     "xor": _golden_xor,
@@ -491,17 +620,16 @@ def _golden_forest_l_fold():
                       seed=derive_seed(7, FOREST_GRID_STREAM, 50, 7, 0))
 
 
-# sha256 of ``importances.tobytes()``, recorded while importances were still
-# summed during growth; importances derived from the trees must keep them.
+# sha256 of ``importances.tobytes()``.
 GOLDEN_IMPORTANCES_SHA256 = {
-    "design_matrix": "9f650369d2922c7c74c9e695f08035fa87b616eff83013f0c733319cb2a368eb",
-    "forest_l_fold": "676042b3d16decbe7a85aeff715f3809545cbaafb78413707e1944730700af08",
-    "gain_ties": "e435d214482bdce3e8b09ac6f21c6145ea01fa806b4abbe9ea7f83361ad98191",
-    "maxnodes_binding": "2e56b959258e62d28d907f32115be2622f70372e39f97c7f868f5c385dfdf406",
-    "pipeline_m_fold": "8d0bf92e6ab3bb2a913ffd909a29e1692adc50b0302713617646a9d96d3ebe3b",
+    "design_matrix": "e0a1c6e32327b163ad0ef6c39f5d6d8d2a6a5925f5b8fa3275151c3c6ddd0555",
+    "forest_l_fold": "50dc275778626c4245b9ddc376c240e63ee8840d2b431007524466516f12fb87",
+    "gain_ties": "38d4d876a61a2ef79151385e8f079f143672ba993165da2a3f815c0438d999aa",
+    "maxnodes_binding": "6eea37d407d82d3e43b157941adc86668a5504d2525f47e3403247b45d939c03",
+    "pipeline_m_fold": "c2a6c301c27fd020b543aa5c45b5edf857331b4c63e2fa1f8b233b826f53ed6e",
     "single_class": "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
-    "tied_integers": "6a4aa6cf44b761b5e455f849ef206773507f9d4dd804ef48af174240213a2008",
-    "xor": "5df186c0c6b38c86c5a996d5ce5e9e2b8f3da480d9ccb9026a84d67367559216",
+    "tied_integers": "03ed0a51231c286fd748fc53994fabc0c13f6ddeb0cb86691d7efaaec50932a6",
+    "xor": "226c151c47cc383285fa5f0d62e2b6a2c77895ad1729f3d93e1b25df81436dda",
 }
 IMPORTANCE_CASES = {
     **GOLDEN_CASES,

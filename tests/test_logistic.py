@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from readmit.evaluation import auc_score
 from readmit.models import fit_logistic, loglik_feature_select, predict_proba, sigmoid
-from readmit.models.logistic import LogisticModel, nll_gradient, penalized_nll
+from readmit.models.logistic import (
+    LogisticModel, fit_logistic_stack, nll_gradient, penalized_nll,
+)
 from readmit.models.selection import chi2_sf_1df
 
 
@@ -54,6 +56,16 @@ class TestFit:
         X = np.ones((5, 2))
         with pytest.raises(ValueError):
             fit_logistic(X, np.ones(5))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0.0, 1.0, 0.0, 1.0, 0.0, 2.0], "labels must be 0 or 1, got 2.0 at row 5"),
+        ([0.0, 1.0, np.nan, 1.0, 0.0, 1.0], "labels must be 0 or 1, got nan at row 2"),
+        ([0, 1, 0, 1, 0], r"5 labels of shape \(5,\) for 6 rows of X"),
+    ])
+    def test_bad_labels_named(self, labels, message):
+        X = np.random.default_rng(3).normal(size=(2, 6, 2))
+        with pytest.raises(ValueError, match=message):
+            fit_logistic_stack(X, np.array(labels))
 
     def test_monotone_descent_and_convergence_report(self):
         rng = np.random.default_rng(5)

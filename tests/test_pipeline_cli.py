@@ -88,7 +88,7 @@ SMALL_RUN_SHA256 = {
     "episodes/admissions.csv": "b9d81db446726725e43d691947782266621d784df98f6fa12593ba9d99a6de73",
     "episodes/manifest.json": "876d07827549e18b5fb16dc0a8120062d7b7e742aa00ed5de6bb9b7faddc78b8",
     "eval/manifest.json": "579b7af1b77c7475e2869af648f4379848880c2cebb0306a2e96198b8758ba2b",
-    "eval/report.csv": "b699e8672ec6b1ef8a36c9dbd154ebfa7dc881c610fbdcdface1e71cb7843eae",
+    "eval/report.csv": "e466be09f0fe5a695ccb4d238846d9a76050ee6f072d5bc4727fb1622d20548a",
     "eval/roc_lr_all_test.csv": "4553b7a20f26f9d8da1b6ccc00ec1d537404ada6015eb64c1efefa0afed545f6",
     "eval/roc_lr_all_train.csv": "ec0d855f9acf20f32f8311e2b4bd52be2809096c860f7d682493603659da819c",
     "eval/roc_lr_selected_test.csv": "9e8913a3c591382c14bed609686e98ccfb798de26a83e6796f7d64f5aa778bdf",
@@ -97,8 +97,8 @@ SMALL_RUN_SHA256 = {
     "eval/roc_pca_lr_selected_train.csv": "e3d55504dd11ea560e0023ef706cae73cba1f5207d1a983519b69fe78bb39192",
     "eval/roc_pca_lr_test.csv": "c900852cc9ff61e9ce8332e6b65d99105618d48bd9e31d63146737666bbd5039",
     "eval/roc_pca_lr_train.csv": "db43a3cce4eb7971c1ac4c71954e1ba2c0600e0286900664ce6d0caec2e73441",
-    "eval/roc_rf_best_test.csv": "f2d619b58559168a3216bf287ce050e4536c16ed41f56a69a17424d98c26cd4b",
-    "eval/roc_rf_best_train.csv": "06701d620dc028e3aa92b4a906e7f9b7607486a3424fae27b6c064677a7bbc69",
+    "eval/roc_rf_best_test.csv": "d4c5d8ac551ed778051263827aeb39d89c3722d0e513ee696b1980837c69eb9e",
+    "eval/roc_rf_best_train.csv": "82436802412331cd14650f977bb055de3480e3e6d1a9831c2edae823e6e59d1a",
     "eval/roc_svm_best_test.csv": "d7356131ceef2c57ce105f4a6979fc4099fc7eabfc5fbf15c7930cbd8d4c4ef2",
     "eval/roc_svm_best_train.csv": "2c87b850e8e684ff2285153cf6b30f23f8d9c59c5db20c9d919b32d18d464a5a",
     "features/features.csv": "bbad1bd49f8b233570751b601e52483f609ec9316c79b3f1e053f02e2e317eb2",
@@ -109,8 +109,8 @@ SMALL_RUN_SHA256 = {
     "models/matrix.csv": "a74532fc28799be6a8e0098890d3a97a841166f8c5e5b73653e23e7f12ab8e6c",
     "models/pca_lr.model": "430badc73b5a8df98c6030813b1e2a91898d1a10615e933df155bce29466945c",
     "models/pca_lr_selected.model": "64309386e346dafe177e89994d3ba50c80ef8a49a5cbcf1ab5af72a1d5db62e1",
-    "models/rf_best.model": "a3549efafcfd2b77cae8714ab2bd562d25d5fdb578492a184c282bacb8c06c50",
-    "models/rf_grid.csv": "93469309c44c67d9081f252a9ac1dc34b787f1517b6efd176817dabd7a37036b",
+    "models/rf_best.model": "f3f4305576c2f4f92fc0908d300cee52445721a93e6983fc6989206f53242683",
+    "models/rf_grid.csv": "e62890be9c7564d7ef6f87df9da003877a6795fe4adf773c07414d25cb933a88",
     "models/split_manifest.json": "c5a86ab2cd42c679c0220449cb49b225f49ae81b238ed5a994863f86a5e99681",
     "models/svm_best.model": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
     "models/svm_grid.csv": "d31face82c1bb3685317097f1fec0f30862486ea492e7ec2bcafac0bd917d4d2",
@@ -700,7 +700,7 @@ class TestPersistence:
         "lr_selected": "28ced7f21e6517974a95ec4156a39a41bcb606de25e980340d1ddca005cb3af4",
         "pca_lr": "430badc73b5a8df98c6030813b1e2a91898d1a10615e933df155bce29466945c",
         "pca_lr_selected": "64309386e346dafe177e89994d3ba50c80ef8a49a5cbcf1ab5af72a1d5db62e1",
-        "rf_best": "a3549efafcfd2b77cae8714ab2bd562d25d5fdb578492a184c282bacb8c06c50",
+        "rf_best": "f3f4305576c2f4f92fc0908d300cee52445721a93e6983fc6989206f53242683",
         "svm_best": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
     }
 

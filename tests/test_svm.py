@@ -55,6 +55,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_linear_svm(X, np.ones_like(y), C=1.0)
 
+    @pytest.mark.parametrize("labels, message", [
+        (lambda y: 2 * y, "labels must be 0 or 1, got 2 at row 40"),
+        (lambda y: y - 1, "labels must be 0 or 1, got -1 at row 0"),
+        (lambda y: y[:-1], r"79 labels of shape \(79,\) for 80 rows of X"),
+        (lambda y: y[:, None], r"80 labels of shape \(80, 1\) for 80 rows of X"),
+    ])
+    def test_bad_labels_named(self, labels, message):
+        X, y = blobs()
+        with pytest.raises(ValueError, match=message):
+            fit_linear_svm(X, labels(y), C=1.0)
+
     def test_duplicating_rows_and_halving_c_matches_trajectory(self):
         # Adjacent duplication with half the epochs takes the same update
         # steps over the same sampled rows, so the doubled run's epoch
