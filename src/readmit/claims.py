@@ -16,7 +16,7 @@ from datetime import date
 from functools import partial
 
 from .codes import Memo, normalize_icd9
-from .textio import ParseResult, RowError, parse_table, write_csv  # noqa: F401 (re-exported)
+from .textio import ParseResult, parse_table, write_csv
 
 GENDERS = ("M", "F")
 ETHNICITIES = ("White", "Asian", "Hispanic", "Black")
@@ -125,7 +125,8 @@ def _pharmacy_row(cells) -> PharmacyClaim:
                          _parse_date(service_date, "service"), ndc.zfill(10))
 
 
-def _demographic_row(cells) -> DemographicRecord:
+def _demographic_row(seen: set[str], cells) -> DemographicRecord:
+    """A user's record, unless ``seen`` already holds the user; adds it."""
     user_id, gender_text, age_text, ethnicity_text, scheme_text = cells
     gender = gender_text.strip().upper()
     if gender not in GENDERS:
@@ -142,7 +143,11 @@ def _demographic_row(cells) -> DemographicRecord:
     scheme = _SCHEME.get(scheme_text.strip().replace(" ", "").lower())
     if scheme is None:
         raise ValueError(f"scheme_type {scheme_text.strip()!r} not in {SCHEME_TYPES}")
-    return DemographicRecord(_required(user_id, "user_id"), gender, age, ethnicity, scheme)
+    user_id = _required(user_id, "user_id")
+    if user_id in seen:
+        raise ValueError(f"duplicate demographics row for user {user_id!r}")
+    seen.add(user_id)
+    return DemographicRecord(user_id, gender, age, ethnicity, scheme)
 
 
 def parse_medical_claims(source, strict: bool = True) -> ParseResult:
@@ -154,14 +159,7 @@ def parse_pharmacy_claims(source, strict: bool = True) -> ParseResult:
 
 
 def parse_demographics(source, strict: bool = True) -> ParseResult:
-    seen: set[str] = set()
-
-    def check_unique(record: DemographicRecord):
-        if record.user_id in seen:
-            raise ValueError(f"duplicate demographics row for user {record.user_id!r}")
-        seen.add(record.user_id)
-
-    return parse_table(source, DEMOGRAPHICS_COLUMNS, _demographic_row, strict, hook=check_unique)
+    return parse_table(source, DEMOGRAPHICS_COLUMNS, partial(_demographic_row, set()), strict)
 
 
 def _other_diagnoses_field(record: MedicalClaim) -> str:

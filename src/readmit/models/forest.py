@@ -345,12 +345,10 @@ def _importances(trees: list[Tree], d: int) -> np.ndarray:
     sizes = [tree.feature.size for tree in trees]
     offset = np.repeat(np.cumsum(sizes) - sizes, sizes)
     feature = np.concatenate([tree.feature for tree in trees])
-    # Split k of a tree made its nodes 2k+1 and 2k+2, so ordering the split
-    # nodes by their left child's index orders them by tree, then split.
-    left = np.concatenate([tree.left for tree in trees]) + offset
+    # A tree splits its nodes in index order, so its split nodes in index
+    # order are in split order.
     node = np.flatnonzero(feature >= 0)
-    node = node[np.argsort(left[node])]
-    left = left[node]
+    left = (np.concatenate([tree.left for tree in trees]) + offset)[node]
     rows = np.concatenate([tree.n_samples for tree in trees]).astype(np.float64)
     pos = np.rint(np.concatenate([tree.value for tree in trees]) * rows)
 

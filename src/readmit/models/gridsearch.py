@@ -35,7 +35,6 @@ from .svm import fit_linear_svm, svm_decision_scores
 
 @dataclass
 class GridSearchResult:
-    param_names: list[str]
     configs: list[dict]
     fold_aucs: np.ndarray     # (n_configs, n_folds)
     mean_aucs: np.ndarray
@@ -112,7 +111,6 @@ def grid_search(
     fold_aucs = np.array(columns, dtype=np.float64).T.copy()
     mean_aucs = fold_aucs.mean(axis=1)
     return GridSearchResult(
-        param_names=list(grid),
         configs=configs,
         fold_aucs=fold_aucs,
         mean_aucs=mean_aucs,
@@ -121,11 +119,11 @@ def grid_search(
 
 
 def write_grid_csv(result: GridSearchResult, dest):
+    names = list(result.configs[0])
     n_folds = result.fold_aucs.shape[1]
-    header = (result.param_names + [f"fold_{i}_auc" for i in range(n_folds)]
-              + ["mean_auc", "winner"])
+    header = names + [f"fold_{i}_auc" for i in range(n_folds)] + ["mean_auc", "winner"]
     write_csv(dest, header, (
-        [str(config[p]) for p in result.param_names]
+        [str(config[p]) for p in names]
         + [repr(v) for v in fold_aucs]
         + [repr(mean_auc), "1" if i == result.winner_index else "0"]
         for i, (config, fold_aucs, mean_auc) in enumerate(zip(

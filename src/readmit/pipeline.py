@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -32,16 +33,17 @@ from .dataset import (
 from .episodes import build_labeled_admissions, write_admissions_csv
 from .errors import ConfigError, ParseError, ReadmitError
 from .features import extract_features, read_features_csv, write_features_csv
-from .models import (
-    ModelBundle, fit_linear_svm, fit_logistic, fit_pca,
-    fit_random_forest, grid_search, loglik_feature_select, pca_transform,
-    rf_fold_auc, save_bundle, svm_fold_auc, write_grid_csv,
-)
-from .models.logistic import nll_gradient
-from .models.persist import BUNDLE_KINDS, load_bundle
+from .models.forest import fit_random_forest
+from .models.gridsearch import grid_search, rf_fold_auc, svm_fold_auc, write_grid_csv
+from .models.logistic import fit_logistic, nll_gradient
+from .models.pca import fit_pca, pca_transform
+from .models.persist import BUNDLE_KINDS, ModelBundle, load_bundle, save_bundle
+from .models.selection import loglik_feature_select
+from .models.svm import fit_linear_svm
 from .evaluation import SIDES, build_report, write_report_csv, write_roc_csv
 from .seeding import FOREST_STREAM, derive_seed
 from .synth import GeneratorConfig, SignalSpec, generate
+from .textio import text_stream
 
 SCHEMA_VERSION = 1
 
@@ -79,6 +81,8 @@ CLAIM_INPUTS = {
     "pharmacy": ("parse_pharmacy_claims", "pharmacy_claims.csv", "pharmacy claims file"),
     "demographics": ("parse_demographics", "demographics.csv", "demographics file"),
 }
+# Split setting of the config -> its key in split_manifest.json.
+SPLIT_KEYS = {"seed": "seed", "train_fraction": "train_fraction", "user_level_split": "user_level"}
 
 
 def _is_number(value, integer: bool) -> bool:
@@ -207,9 +211,12 @@ class RunConfig:
         """The config in the JSON file at ``path``, with ``overrides``
         replacing its values before validation."""
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            with text_stream(path) as fh:
+                raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except ParseError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} is not a JSON object")
         return cls.from_dict({**raw, **overrides})
@@ -244,9 +251,13 @@ def _log(stage: str, **info):
     print(f"stage={stage} {detail}".rstrip(), file=sys.stderr)
 
 
+def _write_json(dest: Path, value):
+    dest.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_manifest(cfg: RunConfig, stage: str, out_dir: Path, **facts):
     """``facts`` are deterministic stage diagnostics added to the manifest."""
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "stage": stage,
         "config": json.loads(cfg.canonical_json()),
         "config_hash": cfg.config_hash(),
@@ -254,10 +265,7 @@ def _write_manifest(cfg: RunConfig, stage: str, out_dir: Path, **facts):
         "package_version": __version__,
         "schema_version": SCHEMA_VERSION,
         **facts,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def _require(path: Path, what: str) -> Path:
@@ -435,37 +443,31 @@ def _check_class_balance(train, test, folds):
                 "other admissions; each side needs both classes")
 
 
-def _write_split_manifest(cfg: RunConfig, train, test, dest: Path):
-    manifest = {
-        "seed": cfg.seed,
-        "train_fraction": cfg.train_fraction,
-        "user_level": cfg.user_level_split,
-        "train_row_ids": [list(rid) for rid in train.row_ids],
-        "test_row_ids": [list(rid) for rid in test.row_ids],
-    }
-    dest.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
 def _read_split_manifest(cfg: RunConfig, matrix, path: Path):
     """The train and test rows of ``matrix`` that the split manifest at
     ``path`` lists, each side in the manifest's order; stderr names each
-    split setting of ``cfg`` that differs from the manifest's."""
+    split setting of ``cfg`` that differs from the manifest's. A row listed
+    more than once, on one side or on both, raises ParseError naming it."""
     try:
-        manifest = json.loads(_require(path, "split manifest").read_text(encoding="utf-8"))
+        with text_stream(_require(path, "split manifest")) as fh:
+            manifest = json.load(fh)
         sides = [[tuple(rid) for rid in manifest[key]]
                  for key in ("train_row_ids", "test_row_ids")]
+        listed = Counter(rid for side in sides for rid in side)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path} is not a split manifest: {exc}") from exc
     if not all(sides):
         raise ParseError(f"{path} lists no train rows or no test rows")
-    keys = {"seed": "seed", "train_fraction": "train_fraction", "user_level_split": "user_level"}
     differ = [f"{name} {getattr(cfg, name)!r} (manifest {manifest.get(key)!r})"
-              for name, key in keys.items() if getattr(cfg, name) != manifest.get(key)]
+              for name, key in SPLIT_KEYS.items() if getattr(cfg, name) != manifest.get(key)]
     if differ:
         print(f"warning: split settings differ from {path}: {', '.join(differ)}", file=sys.stderr)
     index = {rid: i for i, rid in enumerate(matrix.row_ids)}
-    for rid in (rid for side in sides for rid in side):
+    for rid, count in listed.items():
+        if count > 1:
+            raise ParseError(f"{path} lists row {list(rid)} {count} times")
         if rid not in index:
             raise ConfigError(f"{path} lists row {list(rid)}, which the features do not hold")
     return tuple(matrix.subset([index[rid] for rid in side]) for side in sides)
@@ -486,7 +488,11 @@ def stage_train(cfg: RunConfig, out_root: Path, features_path: Path | None = Non
     write_grid_csv(rf_result, out_dir / "rf_grid.csv")
     write_grid_csv(svm_result, out_dir / "svm_grid.csv")
     write_matrix_csv(matrix, out_dir / "matrix.csv")
-    _write_split_manifest(cfg, train, test, out_dir / "split_manifest.json")
+    _write_json(out_dir / "split_manifest.json", {
+        **{key: getattr(cfg, name) for name, key in SPLIT_KEYS.items()},
+        "train_row_ids": [list(rid) for rid in train.row_ids],
+        "test_row_ids": [list(rid) for rid in test.row_ids],
+    })
     _write_manifest(cfg, "train", out_dir, **diagnostics)
     _log("train", rf_configs=len(rf_result.configs), svm_configs=len(svm_result.configs),
          rf_winner=rf_result.winner, selected=len(bundles["lr_selected"].selected_columns or []))
@@ -504,11 +510,15 @@ def stage_evaluate(
     _require(models_dir, "models directory")
     matrix = _build_matrix(cfg, out_root, features_path)
     train, test = _read_split_manifest(cfg, matrix, models_dir / "split_manifest.json")
-    bundles = {kind: load_bundle(_require(models_dir / f"{kind}.model", f"{kind} model"))
-               for kind in BUNDLE_KINDS}
-    for kind, bundle in bundles.items():
-        if bundle.kind != kind:
-            raise ParseError(f"{models_dir / kind}.model holds a {bundle.kind} model, not {kind}")
+    bundles = {}
+    for kind in BUNDLE_KINDS:
+        path = _require(models_dir / f"{kind}.model", f"{kind} model")
+        try:
+            bundles[kind] = load_bundle(path)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        if bundles[kind].kind != kind:
+            raise ParseError(f"{path} holds a {bundles[kind].kind} model, not {kind}")
     rows = build_report(bundles, train, test, cfg.threshold)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in rows:

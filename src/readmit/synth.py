@@ -208,8 +208,6 @@ def generate(config: GeneratorConfig) -> SyntheticData:
     intercept = calibrate_intercept(config)
     base = int(config.mean_admissions_per_user)
     frac = config.mean_admissions_per_user - base
-    comorb_signals = [s for s in config.signals if s.kind == "comorbidity"]
-    med_signals = [s for s in config.signals if s.kind == "medication"]
     # Stray claims: (rate, earliest day after last_end, end-day choices, CPT pool).
     # One end-day choice draws integers(0, 1), which takes nothing from the stream.
     strays = ((config.noise_claim_rate, GAP_DAYS, 2, _OFFICE_CPTS),
@@ -238,14 +236,14 @@ def generate(config: GeneratorConfig) -> SyntheticData:
             is_ed = bool(rng.random() < 0.3)
 
             carriers = tuple(bool(rng.random() < s.carrier_rate) for s in config.signals)
-            carrier_by_signal = dict(zip(config.signals, carriers))
-            extra_dx = [s.value for s in comorb_signals if carrier_by_signal[s]]
+            carried = [s for s, carrier in zip(config.signals, carriers) if carrier]
+            extra_dx = [s.value for s in carried if s.kind == "comorbidity"]
             data.medical.extend(_admission_claims(
                 rng, user_id, claim_counter, start, end, is_ed, extra_dx
             ))
 
             prefixes = [""] * int(rng.integers(0, 3))
-            prefixes += [s.value for s in med_signals if carrier_by_signal[s]]
+            prefixes += [s.value for s in carried if s.kind == "medication"]
             span = (end - start).days
             for prefix in prefixes:
                 data.pharmacy.append(PharmacyClaim(
@@ -255,9 +253,7 @@ def generate(config: GeneratorConfig) -> SyntheticData:
                     ndc_code=prefix + _random_ndc(rng)[len(prefix):],
                 ))
 
-            logit = intercept + sum(
-                s.strength for s in config.signals if carrier_by_signal[s]
-            )
+            logit = intercept + sum(s.strength for s in carried)
             readmitted = bool(rng.random() < _sigmoid(logit))
             data.planted.append(PlantedAdmission(
                 user_id=user_id, start=start, end=end, is_ed=is_ed,

@@ -1,15 +1,14 @@
 """readmit's one stream opener, its one CSV reader and its one CSV writer.
 
-``text_stream`` turns every source or destination a reader or writer takes
-into a text stream. ``parse_table`` reads every CSV file: the three claims
-files, ``features.csv`` and the two code maps. ``write_csv`` writes every
-CSV file of the output tree.
+``text_stream`` opens every file readmit reads or writes, the config, model
+files and split manifest too, or passes a text stream through. ``parse_table``
+reads every CSV file: the claims files, ``features.csv`` and the code maps.
+``write_csv`` writes every CSV file of the output tree.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
@@ -23,22 +22,31 @@ def text_stream(target, mode: str = "r"):
     """Yield ``target`` as a text stream.
 
     A path is opened in ``mode`` as UTF-8 with ``newline=""`` (so the csv
-    module controls line endings) and closed on exit. A byte stream is read
-    as UTF-8 through a wrapper that is detached on exit, so the caller's
-    stream stays open; a text stream is yielded as is and left open for its
-    owner.
+    module controls line endings) and closed on exit; a byte that is not
+    UTF-8, met anywhere in the block, raises ParseError with its physical
+    line. A text stream is yielded as is and left open for its owner.
     """
-    if isinstance(target, (str, Path)):
+    if not isinstance(target, (str, Path)):
+        yield target
+        return
+    try:
         with open(target, mode, newline="", encoding="utf-8") as fh:
             yield fh
-    elif mode == "r" and isinstance(target.read(0), bytes):
-        wrapper = io.TextIOWrapper(target, encoding="utf-8", newline="")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
-    else:
-        yield target
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+                         line=_undecodable_line(target)) from None
+
+
+def _undecodable_line(path) -> int:
+    """The physical line of the first byte of the file at ``path`` that is
+    not UTF-8. The text stream decodes ahead in chunks, so the line is found
+    by reading the file again as bytes."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len(data[:exc.start + 1].splitlines())
+    return 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,61 +63,41 @@ class ParseResult:
     errors: list[RowError]
 
 
-def parse_table(source, columns, row_parser, strict, hook=None) -> ParseResult:
+def parse_table(source, columns, row_parser, strict) -> ParseResult:
     """``row_parser`` gets each non-blank row's cells as a tuple in
     ``columns`` order, whatever the header's order. Errors name the record's
     first physical line; a byte that is not UTF-8 fails the whole file,
     strict or not."""
-    try:
-        with text_stream(source) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError("empty file, expected header row", line=0)
-            index = {name.strip(): i for i, name in enumerate(header)}
-            missing = [c for c in columns if c not in index]
-            extra = [c for c in index if c not in columns]
-            if missing or extra:
-                raise ParseError(
-                    f"bad header: missing columns {missing}, unexpected {extra}", line=1
-                )
-            cells = itemgetter(*(index[c] for c in columns))
-            records, errors = [], []
-            next_line = reader.line_num + 1
-            for row in reader:
-                lineno, next_line = next_line, reader.line_num + 1
-                if not "".join(row).strip():
-                    continue
-                try:
-                    if len(row) != len(columns):
-                        raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-                    record = row_parser(cells(row))
-                    if hook is not None:
-                        hook(record)
-                except ValueError as exc:
-                    if strict:
-                        raise ParseError(str(exc), line=lineno) from exc
-                    errors.append(RowError(lineno, str(exc)))
-                    continue
-                records.append(record)
-            return ParseResult(records, errors)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
-                         line=_undecodable_line(source)) from None
-
-
-def _undecodable_line(source) -> int:
-    """The physical line of the first byte of ``source`` that is not UTF-8.
-    The text stream decodes ahead in chunks, so the line is found by reading
-    a path again as bytes; a stream cannot be read again and gives 0."""
-    if not isinstance(source, (str, Path)):
-        return 0
-    data = Path(source).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return len(data[:exc.start + 1].splitlines())
-    return 0
+    with text_stream(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file, expected header row", line=0)
+        index = {name.strip(): i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in index]
+        extra = [c for c in index if c not in columns]
+        if missing or extra:
+            raise ParseError(
+                f"bad header: missing columns {missing}, unexpected {extra}", line=1
+            )
+        cells = itemgetter(*(index[c] for c in columns))
+        records, errors = [], []
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if not "".join(row).strip():
+                continue
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+                record = row_parser(cells(row))
+            except ValueError as exc:
+                if strict:
+                    raise ParseError(str(exc), line=lineno) from exc
+                errors.append(RowError(lineno, str(exc)))
+                continue
+            records.append(record)
+        return ParseResult(records, errors)
 
 
 def write_csv(dest, header, rows):

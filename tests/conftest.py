@@ -8,7 +8,7 @@ from readmit.claims import (
 )
 from readmit.codes import load_code_mappings
 from readmit.features import AdmissionFeatures
-from readmit.models import ModelBundle, save_bundle
+from readmit.models.persist import ModelBundle, save_bundle
 
 settings.register_profile(
     "suite",

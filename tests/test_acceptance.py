@@ -20,12 +20,10 @@ from readmit.dataset import SplitSpec, one_hot_encode, train_test_split
 from readmit.episodes import build_labeled_admissions, readmission_rate_from_counts
 from readmit.evaluation import auc_score, mann_whitney_auc, roc_curve, auc
 from readmit.features import extract_features
-from readmit.models import (
-    fit_logistic, fit_pca, fit_random_forest,
-    predict_proba, rf_importances, rf_predict_proba, fit_linear_svm,
-    svm_decision_scores, pca_transform,
-)
-from readmit.models.logistic import nll_gradient, penalized_nll
+from readmit.models.forest import fit_random_forest, rf_importances, rf_predict_proba
+from readmit.models.logistic import fit_logistic, nll_gradient, penalized_nll, predict_proba
+from readmit.models.pca import fit_pca, pca_transform
+from readmit.models.svm import fit_linear_svm, svm_decision_scores
 from readmit.synth import GeneratorConfig, SignalSpec, generate
 
 from conftest import WORKED_DEMOGRAPHICS, WORKED_MEDICAL, WORKED_PHARMACY, rf_model_text

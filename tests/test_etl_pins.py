@@ -18,11 +18,12 @@ import hashlib
 import pytest
 
 from readmit.claims import (
-    RowError, parse_medical_claims, parse_pharmacy_claims,
+    parse_medical_claims, parse_pharmacy_claims,
     write_demographics, write_medical_claims, write_pharmacy_claims,
 )
 from readmit.pipeline import RunConfig, stage_episodes, stage_features, stage_generate
 from readmit.synth import generate
+from readmit.textio import RowError
 
 N_USERS = 600
 

@@ -10,9 +10,9 @@ from readmit.codes import load_code_mappings
 from readmit.dataset import SplitSpec, one_hot_encode, stratified_kfold, train_test_split
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
-from readmit.models import fit_random_forest, rf_importances, rf_predict_proba
 from readmit.models.forest import (
     RandomForestModel, Tree, _CodedMatrix, _drawn_columns, _fit_trees, _importances,
+    fit_random_forest, rf_importances, rf_predict_proba,
 )
 from readmit.seeding import FOREST_GRID_STREAM, derive_seed, seed_sequence
 from readmit.synth import GeneratorConfig, SignalSpec, generate

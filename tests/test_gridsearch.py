@@ -6,9 +6,10 @@ import pytest
 from readmit.dataset import stratified_kfold
 from readmit.errors import ConfigError
 from readmit.evaluation import auc_score
-from readmit.models import (
-    expand_grid, fit_random_forest, grid_search, gridsearch, rf_fold_auc, rf_predict_proba,
-    svm_fold_auc, write_grid_csv,
+from readmit.models import gridsearch
+from readmit.models.forest import fit_random_forest, rf_predict_proba
+from readmit.models.gridsearch import (
+    expand_grid, grid_search, rf_fold_auc, svm_fold_auc, write_grid_csv,
 )
 from readmit.pipeline import DEFAULT_RF_GRID, DEFAULT_SVM_C_GRID
 from readmit.seeding import FOREST_GRID_STREAM, GRID_STREAM, derive_seed

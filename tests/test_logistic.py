@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readmit.evaluation import auc_score
-from readmit.models import fit_logistic, loglik_feature_select, predict_proba, sigmoid
 from readmit.models.logistic import (
-    LogisticModel, fit_logistic_stack, nll_gradient, penalized_nll,
+    LogisticModel, fit_logistic, fit_logistic_stack, nll_gradient, penalized_nll,
+    predict_proba, sigmoid,
 )
-from readmit.models.selection import chi2_sf_1df
+from readmit.models.selection import chi2_sf_1df, loglik_feature_select
 
 
 def random_instance(seed, n=5, d=3):

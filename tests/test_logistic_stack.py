@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from readmit import pipeline
 from readmit.dataset import train_test_split
-from readmit.models import fit_logistic, loglik_feature_select, selection
-from readmit.models.logistic import fit_logistic_stack, penalized_nll
-from readmit.models.selection import Selection, SelectionStep, chi2_sf_1df
+from readmit.models import selection
+from readmit.models.logistic import fit_logistic, fit_logistic_stack, penalized_nll
+from readmit.models.selection import (
+    Selection, SelectionStep, chi2_sf_1df, loglik_feature_select,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from readmit.models import fit_pca, pca_transform
+from readmit.models.pca import fit_pca, pca_transform
 
 
 class TestFitPca:

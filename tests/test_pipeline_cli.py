@@ -21,10 +21,9 @@ from readmit.cli import main
 from readmit.dataset import one_hot_encode, stratified_kfold, train_test_split
 from readmit.errors import ConfigError, ParseError
 from readmit.features import read_features_csv
-from readmit.models import (
-    LogisticModel, RandomForestModel, fit_logistic, fit_pca, fit_random_forest, rf_importances,
-)
-from readmit.models.forest import Tree
+from readmit.models.forest import RandomForestModel, Tree, fit_random_forest, rf_importances
+from readmit.models.logistic import LogisticModel, fit_logistic
+from readmit.models.pca import fit_pca
 from readmit.models.persist import ModelBundle, load_bundle, save_bundle
 from readmit.pipeline import DEFAULT_GENERATOR, RunConfig, train_models
 
@@ -114,6 +113,55 @@ SMALL_RUN_SHA256 = {
     "models/split_manifest.json": "c5a86ab2cd42c679c0220449cb49b225f49ae81b238ed5a994863f86a5e99681",
     "models/svm_best.model": "68b74211a4bc06cca99e2fb02d624dd410318975f576952e9f2044295d9b543b",
     "models/svm_grid.csv": "d31face82c1bb3685317097f1fec0f30862486ea492e7ec2bcafac0bd917d4d2",
+}
+
+
+# SMALL_CONFIG with a comorbidity and a medication signal and a user-level
+# split, which SMALL_RUN_SHA256 does not exercise.
+SIGNAL_CONFIG = {
+    **SMALL_CONFIG,
+    "user_level_split": True,
+    "generator": {**SMALL_CONFIG["generator"], "signals": [
+        {"kind": "comorbidity", "value": "4280", "strength": 2.0},
+        {"kind": "medication", "value": "60", "strength": 1.0},
+    ]},
+}
+
+# sha256 of every file of the SIGNAL_CONFIG `all` tree.
+SIGNAL_RUN_SHA256 = {
+    "data/demographics.csv": "82e8adbd2fd03b83462304396cd9b1326914bce4cc2172f40815c0c1e40956b7",
+    "data/manifest.json": "554840bdc952403a7eb5345f7299045173da2971cbb84ccf19e2b942f66945ad",
+    "data/medical_claims.csv": "1f94e52d4c1ff48bb7fcbf5791a9515d05b0c552465a12d76023c0a9f79ea646",
+    "data/pharmacy_claims.csv": "bec295932057346f6736aecebc3801d816aee1ba36b8721a3134f6a9e9b4f55f",
+    "episodes/admissions.csv": "8d0d4eddad0d37d1bc551a5840e1a4bd28033e0244cfea236ecd866f3923bc24",
+    "episodes/manifest.json": "8bb78beb5d4e3fff0d46fb52c1b308bdb83a0828f93427ed40b02e6bd2405057",
+    "eval/manifest.json": "22016ae609aa4c09b7cb6cba96bbe1fc466ac3e9a376e95b93cd07c634c76e13",
+    "eval/report.csv": "10e24e841cf7e833d4d993789cd903472c54bd5f319a4beab75aa3d8845f7683",
+    "eval/roc_lr_all_test.csv": "3dabc205ec895d0e4bfd045532365b3f8bbf2ed9a8abc7c6a92678f70a21263b",
+    "eval/roc_lr_all_train.csv": "acfcc6bf2d95db4d37820474c4d5c3fd5564f891005c07bf9636987a42a9f948",
+    "eval/roc_lr_selected_test.csv": "a8181cb50343afb881f990a08c9efe8c1dcc26a114080edadbc493db8447f523",
+    "eval/roc_lr_selected_train.csv": "0c62a81a257be68951e157217d303472815cf063bd2ff3fe7e6d1125c15d86c6",
+    "eval/roc_pca_lr_selected_test.csv": "5239daf5609c8929101865a78f93b7d8b253905d167ea4b9e7539179c12c3f3d",
+    "eval/roc_pca_lr_selected_train.csv": "bd16ab602bd1b118eb3c31cae3d0cd45f1b56c345d7cabae6e05ff2ee057f54d",
+    "eval/roc_pca_lr_test.csv": "e70c436dbed6a0b8e504e19bda9c2b26c52adb6a1215e28ee6202a7d1f46a2fd",
+    "eval/roc_pca_lr_train.csv": "b54d16cdc6c39af9dab3547275d7a0f3e133d664712e2bde0021e62b7e5e1941",
+    "eval/roc_rf_best_test.csv": "2213f83e565e117013c737622ab57e13392413d0cb30704e57028a7c0b5044a1",
+    "eval/roc_rf_best_train.csv": "ec2c7ccd940133f2023958dba4c3fb5405c5dda2446b767a2b3a00ccdb088be0",
+    "eval/roc_svm_best_test.csv": "29fc9817c3e6fd3002daf990097e92ae62c49f73cff882c661144411c34f3404",
+    "eval/roc_svm_best_train.csv": "ba60a351893462bc6e5b0477d2a33937b47b443be4601d6472291f9aeffe6844",
+    "features/features.csv": "62624cfe97f518f038a2f778e7bf5ab75f63155943bf20f7879a956fd47b22db",
+    "features/manifest.json": "55eb7d0afea123349a9339d609298f9e65e687ac7b6a53061124ca066da44af3",
+    "models/lr_all.model": "ca2f232a5368118341ca96942b261df1e53f9606b7b7212f77bcb057d3855e4a",
+    "models/lr_selected.model": "279ca1a488997c4f3644b93959e050f3cfb561542d4b481380d27d55179a4896",
+    "models/manifest.json": "8250475fd1154da40a3aa24da36b5d2e036113f50564638dc43a8a1def9099ea",
+    "models/matrix.csv": "a61765f826a86463fbd46d4180ffa22d4ad1fd0afd6f00001fca39066a7b345b",
+    "models/pca_lr.model": "857a2b1a328ce3e7523c722ac6c1894927b356c6a58afc94e3f2d49dd104e6e6",
+    "models/pca_lr_selected.model": "53ca8810f3f28953879fb3c948ff3aeeb850b9614cdac93e573cc2dd92a920f1",
+    "models/rf_best.model": "a4e7729d068ead9678baa873a0c47a8c9de0403fd07106f1bee9e36f0a9cfc22",
+    "models/rf_grid.csv": "1bb44bca0b014766139b0698dac183a2220a7bf937db5efe8da31cef50c4ee06",
+    "models/split_manifest.json": "f23ed06fd89b22d4386d71a263ae206524ff1b0d9497193f62749f6f2ce37a77",
+    "models/svm_best.model": "fb0f44e4c65125c1869937151f5f144e7e787f975f2f60a6b094ca8adda67d09",
+    "models/svm_grid.csv": "d0501a1d8bfa52988b30470c5c55cebd666ddae93fec621fac33c1a7fb985df5",
 }
 
 
@@ -243,6 +291,14 @@ class TestCliRuns:
     def test_output_tree_bytes_are_pinned(self, small_run):
         assert small_run["sha256"] == SMALL_RUN_SHA256
 
+    def test_signal_run_bytes_are_pinned(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(SIGNAL_CONFIG))
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config_path), "--out", str(out)]) == 0
+        sha256 = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+        assert sha256 == SIGNAL_RUN_SHA256
+
     def test_rerun_is_byte_identical(self, small_run, tmp_path):
         out2 = tmp_path / "again"
         assert main(["all", "--config", str(small_run["config_path"]),
@@ -351,6 +407,26 @@ class TestCliExitCodes:
                 "features": ["train", "--config", str(config_path), "--features", str(bad),
                              *out]}[kind]
         assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 3: byte 0xff is not UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,code", [("config", 5), ("model", 4), ("split_manifest", 4)])
+    def test_non_utf8_byte_in_json_or_model_names_file_and_line(self, small_run, tmp_path,
+                                                                 capsys, kind, code):
+        # Two bytes that are not UTF-8 spliced into line 3 of the config, of a
+        # model file or of the split manifest, read by `readmit evaluate`.
+        models = tmp_path / "models"
+        shutil.copytree(small_run["out"] / "models", models)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(SMALL_CONFIG, indent=2))
+        bad = {"config": config_path, "model": models / "lr_all.model",
+               "split_manifest": models / "split_manifest.json"}[kind]
+        lines = bad.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:4] + b"\xff\xfe" + lines[2][4:]
+        bad.write_bytes(b"".join(lines))
+        assert main(["evaluate", "--config", str(config_path),
+                     "--features", str(small_run["out"] / "features" / "features.csv"),
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert f"error: {bad}: line 3: byte 0xff is not UTF-8" in err and "Traceback" not in err
 
@@ -548,6 +624,15 @@ class TestCliExitCodes:
         pytest.param(lambda path: path.write_text(
             '{"train_row_ids": [["U000001", "A000001"]], "test_row_ids": []}'),
             4, "no test rows", id="empty-side"),
+        pytest.param(lambda path: path.write_text(path.read_text().replace(
+            '"test_row_ids": [', '"test_row_ids": [["U000027", ["A41"]], ')),
+            4, "not a split manifest", id="row-id-not-text"),
+        pytest.param(lambda path: path.write_text(path.read_text().replace(
+            '"test_row_ids": [', '"test_row_ids": [["U000070", "A101"], ')),
+            4, "split_manifest.json lists row ['U000070', 'A101'] 2 times", id="row-on-both-sides"),
+        pytest.param(lambda path: path.write_text(path.read_text().replace(
+            '"train_row_ids": [', '"train_row_ids": [["U000070", "A101"], ')),
+            4, "split_manifest.json lists row ['U000070', 'A101'] 2 times", id="row-listed-twice"),
     ])
     def test_evaluate_bad_split_manifest(self, small_run, tmp_path, capsys,
                                          damage, code, message):

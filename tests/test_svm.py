@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from readmit.evaluation import auc_score
-from readmit.models import fit_linear_svm, svm_decision_scores
+from readmit.models.svm import fit_linear_svm, svm_decision_scores
 
 
 def blobs(n_per_side=40, gap=2.0, seed=0):

@@ -112,6 +112,20 @@ def test_medication_signal_lands_in_window(mappings):
     assert in_window == planted_carriers
 
 
+def test_each_planted_signal_has_its_own_carrier():
+    # Two identical signals: each admission carries the code once per signal
+    # it carries, not twice per the last signal's draw.
+    signal = SignalSpec("comorbidity", "4280", 1.0)
+    data = generate(GeneratorConfig(n_users=200, seed=3, signals=(signal, signal)))
+    counts = {}
+    for claim in data.medical:
+        key = (claim.user_id, claim.service_start)
+        counts[key] = counts.get(key, 0) + claim.other_diagnoses.count("4280")
+    assert {p.carriers for p in data.planted} >= {(True, False), (False, True)}
+    assert [counts[p.user_id, p.start] for p in data.planted] == [
+        sum(p.carriers) for p in data.planted]
+
+
 def test_zero_signal_feature_target_association_is_null(mappings):
     """Permutation check: with no signal the planted-style feature column is
     independent of the label, so its observed association is typical of the
