@@ -28,7 +28,6 @@ from .claims import DemographicRecord, MedicalClaim, PharmacyClaim
 from .codes import ADMITTING_DIAGNOSIS_LEVELS, COMORBIDITY_NAMES, OTHER_DIAGNOSIS, icd9_chapter
 from .codes import CodeMappingConfig, Memo
 from .episodes import LabeledAdmission
-from .errors import ReadmitError
 from .textio import parse_table, write_csv
 
 AGE_GROUPS: tuple[tuple[str, int, int | None], ...] = (
@@ -208,9 +207,7 @@ def extract_features(
 
     out = []
     for a in labeled:
-        demo = demo_by_user.get(a.user_id)
-        if demo is None:
-            raise ReadmitError(f"no demographics row for user {a.user_id!r}")
+        demo = demo_by_user[a.user_id]
         out.append(AdmissionFeatures(
             user_id=a.user_id,
             admission_id=a.admission_id,

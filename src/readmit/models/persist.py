@@ -13,22 +13,25 @@ retained columns only, or the forest's trees, one ``[rf.tree.<t>]`` section
 of ``_NODE_FIELDS`` lines, one per node. Floats by ``repr`` make a load/save
 round trip exact and identical fits serialize to identical bytes.
 
-The reader raises ``ParseError``, naming the section and the key, on a
-missing section or key, misnumbered keys, a malformed node line or a value
-that does not parse, and, by scoring one row of zeros, on parts whose
-lengths or indices do not fit the columns, as in a file cut inside its last
-vector.
+``save_bundle`` is the format: the reader builds the bundle from the values
+after each `` = `` and raises ``ParseError``, naming the first line that
+differs, on a file ``save_bundle`` would not write back exactly (a cut, a
+misnumbered key, CRLF ends, ``0.50`` for ``0.5``). It also raises it on a
+missing section or key, a bad node line or value, one part's vectors of
+unequal lengths, and parts that do not fit the columns, found by scoring a
+row of zeros.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import get_type_hints
 
 import numpy as np
 
-from ..errors import ConfigError, ParseError, ReadmitError
+from ..errors import ConfigError, ParseError
 from ..textio import text_stream
 from .forest import RandomForestModel, Tree, rf_predict_proba
 from .logistic import LogisticModel, predict_proba
@@ -79,9 +82,7 @@ class ModelBundle:
             return predict_proba(self.lr, X)
         if self.rf is not None:
             return rf_predict_proba(self.rf, X)
-        if self.svm is not None:
-            return svm_decision_scores(self.svm, X)
-        raise ReadmitError(f"bundle {self.kind} has no scorer")
+        return svm_decision_scores(self.svm, X)
 
 
 # Array kinds besides a vector, whose kind is its element type, float or int.
@@ -163,13 +164,11 @@ def save_bundle(bundle: ModelBundle, dest):
 
 def _split_sections(lines: list[str]) -> dict[str, list[str]]:
     sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
+    current: list[str] = []                # lines before the first section, which no part reads
     for line in lines:
         if line.startswith("[") and line.endswith("]"):
             current = sections.setdefault(line[1:-1], [])
         elif line.strip():
-            if current is None:
-                raise ParseError(f"content before first section: {line!r}")
             current.append(line)
     return sections
 
@@ -180,15 +179,6 @@ def _section(sections, name: str) -> list[str]:
     return sections[name]
 
 
-def _pairs(sections, name: str):
-    """(key, value) of each line of section ``name``."""
-    for line in _section(sections, name):
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ParseError(f"[{name}] line {line!r} is not 'key = value'")
-        yield key, value
-
-
 def _parse(parse, text: str, name: str, key) -> object:
     try:
         return parse(text)
@@ -196,14 +186,10 @@ def _parse(parse, text: str, name: str, key) -> object:
         raise ParseError(f"[{name}] {key}: bad value {text!r}") from None
 
 
-def _values(sections, name: str, parse, key_of=str) -> list:
-    """The values of section ``name``, whose i-th key must be ``key_of(i)``."""
-    values = []
-    for i, (key, value) in enumerate(_pairs(sections, name)):
-        if key != key_of(i):
-            raise ParseError(f"[{name}] key {key!r} where {key_of(i)!r} belongs")
-        values.append(_parse(parse, value, name, key))
-    return values
+def _values(sections, name: str, parse) -> list:
+    """The value of each ``key = value`` line of section ``name``."""
+    return [_parse(parse, value, name, key)
+            for key, _, value in (line.partition(" = ") for line in _section(sections, name))]
 
 
 def _array(values: list, dtype, name: str) -> np.ndarray:
@@ -223,17 +209,18 @@ def _read_tree(sections, name: str) -> Tree:
                      for (_, dtype), text in zip(_NODE_FIELDS, fields)])
     tree = Tree(**{field: _array([row[j] for row in rows], dtype, name)
                    for j, (field, dtype) in enumerate(_NODE_FIELDS)})
-    inner = tree.feature >= 0
+    inner = np.flatnonzero(tree.feature >= 0)
     children = np.concatenate([tree.left[inner], tree.right[inner]])
-    if not rows or np.any((children < 1) | (children >= len(rows))):
-        raise ParseError(f"[{name}] has no nodes or a child index outside the tree")
+    if not rows or np.any((children <= np.tile(inner, 2)) | (children >= len(rows))):
+        raise ParseError(f"[{name}] has no nodes or a child index outside the tree "
+                         "or not after its node")
     return tree
 
 
 def _read_part(part: _Part, sections):
     types = get_type_hints(part.model)
     hyper_name = f"{part.prefix}.hyper"
-    hyper = dict(_pairs(sections, hyper_name))
+    hyper = dict(line.partition(" = ")[::2] for line in _section(sections, hyper_name))
     values = {}
     for key in part.hyper:
         if key not in hyper:
@@ -248,7 +235,7 @@ def _read_part(part: _Part, sections):
             n, retained = values["kept_columns"].size, values["retained"]
             if not 1 <= retained <= n:
                 raise ParseError(f"[{hyper_name}] retained {retained} outside 1..{n}")
-            flat = _values(sections, name, float, lambda i: f"{i // retained},{i % retained}")
+            flat = _values(sections, name, float)
             if len(flat) != n * retained:
                 raise ParseError(f"[{name}] holds {len(flat)} values, not {n} x {retained}")
             values[field] = np.zeros((n, n))
@@ -256,12 +243,16 @@ def _read_part(part: _Part, sections):
         else:
             values[field] = _array(_values(sections, name, _SCALARS[kind][1]),
                                    _DTYPES[kind], name)
+    lengths = {field: len(values[field]) for field, kind in part.arrays if kind in _DTYPES}
+    if len(set(lengths.values())) > 1:
+        raise ParseError(f"the {part.prefix} vectors differ in length: {lengths}")
     return part.model(**values)
 
 
 def load_bundle(source) -> ModelBundle:
     with text_stream(source) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines or not lines[0].startswith(MAGIC):
         raise ParseError("not a readmit model file")
     kind = lines[0][len(MAGIC):].strip()
@@ -276,6 +267,13 @@ def load_bundle(source) -> ModelBundle:
                 setattr(bundle, part.attr, _read_part(part, sections))
     except ParseError as exc:
         raise ParseError(f"{kind} model: {exc}") from None
+    del lines, sections                    # freed before the writer builds its copy
+    written = save_bundle(bundle, io.StringIO())
+    if written != text:
+        pairs = zip_longest(text.splitlines(True), written.splitlines(True), fillvalue="")
+        number, got, want = next((n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b)
+        raise ParseError(f"{kind} model: line {number} reads {got!r}, "
+                         f"where the model writer puts {want!r}")
     try:
         bundle.score(np.zeros((1, len(bundle.column_names))), bundle.column_names)
     except (IndexError, KeyError, ValueError) as exc:

@@ -46,26 +46,21 @@ def fit_linear_svm(
     means = X.mean(axis=0)
     stds = X.std(axis=0)
     stds = np.where(stds > 0.0, stds, 1.0)
-    Z = np.ones((n, d + 1))
-    Z[:, :d] = (X - means) / stds
-    y_pm = np.where(y == 1, 1.0, -1.0)
+    yZ = np.ones((n, d + 1))               # each row signed by its label, +1 or -1
+    yZ[:, :d] = (X - means) / stds
+    yZ *= np.where(y == 1, 1.0, -1.0)[:, None]
 
     lam = 1.0 / (n * C)
     rng = rng_for(seed, SVM_STREAM)
     w = np.zeros(d + 1)
     w_avg = np.zeros(d + 1)
-    t = 0
-    for _ in range(epochs):
-        for _ in range(n):
-            t += 1
-            i = int(rng.random() * n)
-            z = Z[i]
-            eta = 1.0 / (lam * t)
-            hit = y_pm[i] * (z @ w) < 1.0
-            w *= 1.0 - 1.0 / t
-            if hit:
-                w += eta * y_pm[i] * z
-            w_avg += (w - w_avg) / t
+    rows = (rng.random(epochs * n) * n).astype(np.intp)
+    for t, i in enumerate(rows.tolist(), start=1):
+        hit = yZ[i] @ w < 1.0
+        w *= 1.0 - 1.0 / t
+        if hit:
+            w += 1.0 / (lam * t) * yZ[i]
+        w_avg += (w - w_avg) / t
     return LinearSvmModel(
         weights=w_avg[:d].copy(),
         intercept=float(w_avg[d]),

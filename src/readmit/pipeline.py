@@ -31,7 +31,7 @@ from .dataset import (
     train_test_split, write_matrix_csv,
 )
 from .episodes import build_labeled_admissions, write_admissions_csv
-from .errors import ConfigError, ParseError, ReadmitError
+from .errors import ConfigError, ParseError
 from .features import extract_features, read_features_csv, write_features_csv
 from .models.forest import fit_random_forest
 from .models.gridsearch import grid_search, rf_fold_auc, svm_fold_auc, write_grid_csv
@@ -278,13 +278,17 @@ def _load_mappings(cfg: RunConfig):
     return load_code_mappings(cfg.comorbidity_map, cfg.ccs_map)
 
 
+def _input_path(cfg: RunConfig, out_root: Path, name: str) -> Path:
+    """Claims input ``name``'s path in ``cfg``, else the file ``stage_generate`` writes."""
+    return Path(getattr(cfg, name) or out_root / "data" / CLAIM_INPUTS[name][1])
+
+
 def _parse(cfg: RunConfig, out_root: Path, name: str) -> list:
-    """The records of input ``name``: its path in ``cfg``, else the file
-    ``stage_generate`` writes. Its parser is looked up when called, so a
-    wrapper set on this module's attribute sees the call. A parse error
-    names the file."""
-    parser, file, what = CLAIM_INPUTS[name]
-    path = Path(getattr(cfg, name) or out_root / "data" / file)
+    """The records of input ``name`` at ``_input_path``. Its parser is
+    looked up when called, so a wrapper set on this module's attribute sees
+    the call. A parse error names the file."""
+    parser, _, what = CLAIM_INPUTS[name]
+    path = _input_path(cfg, out_root, name)
     try:
         result = globals()[parser](_require(path, what), cfg.strict)
     except ParseError as exc:
@@ -324,13 +328,15 @@ def stage_features(cfg: RunConfig, out_root: Path) -> Path:
     medical, pharmacy, demographics = (_parse(cfg, out_root, name) for name in CLAIM_INPUTS)
     mappings = _load_mappings(cfg)
     labeled, _ = build_labeled_admissions(medical, mappings)
-    if not cfg.strict:
-        known = {d.user_id for d in demographics}
-        kept = [a for a in labeled if a.user_id in known]
-        if len(kept) < len(labeled):
-            _log("features", users_without_demographics=len({a.user_id for a in labeled} - known),
-                 admissions_dropped=len(labeled) - len(kept))
-        labeled = kept
+    known = {d.user_id for d in demographics}
+    missing = [a.user_id for a in labeled if a.user_id not in known]
+    if missing and cfg.strict:
+        raise ParseError(f"{_input_path(cfg, out_root, 'demographics')}: "
+                         f"no demographics row for user {missing[0]!r}")
+    if missing:
+        _log("features", users_without_demographics=len(set(missing)),
+             admissions_dropped=len(missing))
+        labeled = [a for a in labeled if a.user_id in known]
     features = extract_features(labeled, medical, pharmacy, demographics, mappings)
     write_features_csv(features, out_dir / "features.csv")
     _write_manifest(cfg, "features", out_dir)
@@ -422,7 +428,7 @@ def _build_matrix(cfg: RunConfig, out_root: Path, features_path: Path | None):
     try:
         features = read_features_csv(_require(features_path, "features file"))
         if not features:
-            raise ReadmitError(f"{features_path} holds no admissions")
+            raise ParseError("holds no admissions")
         return one_hot_encode(features, mappings)
     except (ParseError, ValueError) as exc:
         raise ParseError(f"{features_path}: {exc}") from None

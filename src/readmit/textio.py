@@ -73,7 +73,10 @@ def parse_table(source, columns, row_parser, strict) -> ParseResult:
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file, expected header row", line=0)
-        index = {name.strip(): i for i, name in enumerate(header)}
+        index = {}
+        for i, name in enumerate(header):
+            if index.setdefault(name.strip(), i) != i:
+                raise ParseError(f"bad header: column {name.strip()!r} repeated", line=1)
         missing = [c for c in columns if c not in index]
         extra = [c for c in index if c not in columns]
         if missing or extra:

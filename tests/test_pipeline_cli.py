@@ -25,6 +25,7 @@ from readmit.models.forest import RandomForestModel, Tree, fit_random_forest, rf
 from readmit.models.logistic import LogisticModel, fit_logistic
 from readmit.models.pca import fit_pca
 from readmit.models.persist import ModelBundle, load_bundle, save_bundle
+from readmit.models.svm import LinearSvmModel
 from readmit.pipeline import DEFAULT_GENERATOR, RunConfig, train_models
 
 DEFAULT_CCS_MAP = Path(str(resources.files("readmit").joinpath("data", "ccs_map.csv")))
@@ -486,6 +487,12 @@ class TestCliExitCodes:
         assert f"{features}: {fragment}" in err and "Traceback" not in err
         assert not (out / "models").exists()
 
+    def test_features_file_without_rows_exit_4(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text(GOOD_FEATURES_LINES[0] + "\n")
+        assert main(["train", "--features", str(features), "--out", str(tmp_path / "o")]) == 4
+        assert f"error: {features}: holds no admissions" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_5(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"nope": 1}))
@@ -582,6 +589,23 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "lr_all model" in err and "Traceback" not in err
         assert not (tmp_path / "o" / "eval").exists()
+
+    def test_model_file_cut_in_its_last_value_exit_4(self, small_run, tmp_path, capsys):
+        # Cut inside the SVM's last standard deviation, the file's last value:
+        # it parses, but the writer would write the value whole.
+        models = tmp_path / "models"
+        shutil.copytree(small_run["out"] / "models", models)
+        path = models / "svm_best.model"
+        text = path.read_text()
+        cut = text.rindex("\n181 = ") + len("\n181 = 0")
+        path.write_text(text[:cut])
+        line = text[:cut].count("\n") + 1
+        out = tmp_path / "o"
+        assert self._evaluate(small_run, models, out) == 4
+        err = capsys.readouterr().err
+        assert f"error: {path}: svm_best model: line {line} reads '{text[cut - 7:cut]}'" in err
+        assert "Traceback" not in err
+        assert not (out / "eval").exists()
 
     def _evaluate(self, small_run, models, out, *flags):
         return main(["evaluate", "--config", str(small_run["config_path"]), *flags,
@@ -708,6 +732,20 @@ class TestCliExitCodes:
                  for line in (out / "features" / "features.csv").read_text().splitlines()[1:]}
         assert users == {"User2"}
         assert "admissions_dropped=2" in capsys.readouterr().err
+
+    def test_strict_features_name_demographics_file_missing_a_user(self, worked_example_files,
+                                                                    tmp_path, capsys):
+        demographics = worked_example_files["demographics"]
+        text = demographics.read_text()
+        demographics.write_text(text.replace("User2,F,35,White,Medium Metro\n", ""))
+        inputs = [f"--{name}={path}" for name, path in worked_example_files.items()]
+        out = tmp_path / "strict"
+        assert main(["features", *inputs, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: {demographics}: no demographics row for user 'User2'" in err
+        assert "Traceback" not in err and not (out / "features" / "features.csv").exists()
+        assert main(["features", "--lenient", *inputs, "--out", str(tmp_path / "lenient")]) == 0
+        assert "users_without_demographics=1" in capsys.readouterr().err
 
     def test_lenient_features_skip_non_ascii_ndc(self, worked_example_files, mappings,
                                                  tmp_path, capsys):
@@ -862,6 +900,13 @@ def _pca_text() -> str:
                        io.StringIO())
 
 
+def _svm_text() -> str:
+    model = LinearSvmModel(weights=np.array([0.5, -1.0]), intercept=0.25, C=0.1, epochs=5,
+                           seed=0, means=np.array([1.0, 2.0]), stds=np.array([0.5, 1.5]))
+    return save_bundle(ModelBundle(kind="svm_best", column_names=["a", "b"], svm=model),
+                       io.StringIO())
+
+
 @pytest.mark.parametrize("text,message", [
     pytest.param("readmit-model v1 lr_all\n", r"missing section \[columns\]", id="magic-only"),
     pytest.param(_lr_text().split("converged")[0], r"\[logistic.hyper\] has no key 'converged'",
@@ -875,7 +920,17 @@ def _pca_text() -> str:
     pytest.param(_lr_text().replace("1 = -1.0\n", ""), r"parts do not fit its columns",
                  id="short-vector"),
     pytest.param(_lr_text().replace("1 = -1.0", "2 = -1.0"),
-                 r"\[logistic.weights\] key '2' where '1' belongs", id="vector-keys"),
+                 r"line 13 reads '2 = -1.0\\n', where the model writer puts '1 = -1.0\\n'",
+                 id="vector-keys"),
+    pytest.param(_lr_text().replace("\n", "\r\n"),
+                 r"line 1 reads 'readmit-model v1 lr_all\\r\\n', "
+                 r"where the model writer puts 'readmit-model v1 lr_all\\n'", id="crlf"),
+    pytest.param(_lr_text().replace("0 = 0.5\n", "0 = 0.50\n"),
+                 r"line 12 reads '0 = 0.50\\n', where the model writer puts '0 = 0.5\\n'",
+                 id="written-another-way"),
+    pytest.param(_lr_text().replace("[columns]", "stray\n[columns]"),
+                 r"line 2 reads 'stray\\n', where the model writer puts '\[columns\]\\n'",
+                 id="before-first-section"),
     pytest.param(_lr_text().replace("l2_penalty = 0.0001", "l2_penalty = x"),
                  r"\[logistic.hyper\] l2_penalty: bad value 'x'", id="bad-float"),
     pytest.param(_lr_text().replace("converged = 1", "converged = 2"),
@@ -884,12 +939,16 @@ def _pca_text() -> str:
                  r"\[rf.tree.0\] node 1: 3 fields", id="node-fields"),
     pytest.param(_rf_text().replace("0 0.5 1 2", "0 0.5 1 3"),
                  r"\[rf.tree.0\] has no nodes or a child index outside", id="node-child"),
+    pytest.param(_rf_text().replace("-1 0.0 -1 -1 0.0 2", "1 0.5 1 2 0.0 2"),
+                 r"\[rf.tree.0\] .* or not after its node", id="node-child-cycle"),
     pytest.param(_rf_text().replace("0 0.5 1 2 0.5 4", "0 0.5 1 2 0.5 99999999999"),
                  r"\[rf.tree.0\] holds a value out of range for int32", id="node-overflow"),
     pytest.param(_rf_text().replace("ntree = 1", "ntree = 2"),
                  r"missing section \[rf.tree.1\]", id="missing-tree"),
     pytest.param(_pca_text().replace("retained = 1", "retained = 3"),
                  r"\[pca.hyper\] retained 3 outside 1..2", id="pca-retained"),
+    pytest.param(_svm_text().split("1 = 1.5")[0],
+                 r"the svm vectors differ in length: .*'stds': 1", id="svm-vectors-differ"),
     pytest.param(_pca_text().replace("1,0 = 0.7071067811865475\n", ""),
                  r"\[pca.components\] holds 1 values, not 2 x 1", id="pca-components-short"),
 ])
@@ -898,12 +957,10 @@ def test_malformed_model_file_is_parse_error(text, message):
         load_bundle(io.StringIO(text))
 
 
-@pytest.mark.parametrize("make", [_lr_text, _rf_text, _pca_text])
-def test_model_file_cut_anywhere_is_parse_error_or_scores(make):
+@pytest.mark.parametrize("make", [_lr_text, _rf_text, _pca_text, _svm_text])
+def test_model_file_cut_anywhere_is_parse_error(make):
     text = make()
+    assert load_bundle(io.StringIO(text)).score(np.zeros((1, 2)), ["a", "b"]).shape == (1,)
     for cut in range(len(text)):
-        try:
-            bundle = load_bundle(io.StringIO(text[:cut]))
-        except ParseError:
-            continue
-        assert bundle.score(np.zeros((1, 2)), ["a", "b"]).shape == (1,)
+        with pytest.raises(ParseError):
+            load_bundle(io.StringIO(text[:cut]))

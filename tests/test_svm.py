@@ -3,6 +3,7 @@ import pytest
 
 from readmit.evaluation import auc_score
 from readmit.models.svm import fit_linear_svm, svm_decision_scores
+from readmit.seeding import SVM_STREAM, rng_for
 
 
 def blobs(n_per_side=40, gap=2.0, seed=0):
@@ -30,7 +31,34 @@ def objective_path(X, y, C, epochs, seed) -> list[float]:
             for e in range(1, epochs + 1)]
 
 
+def reference_weights(X, y, C, epochs, seed) -> np.ndarray:
+    """Pegasos one step at a time, a scalar draw per step: the weights over
+    the standardized features, then the intercept."""
+    n, d = X.shape
+    stds = np.where(X.std(axis=0) > 0.0, X.std(axis=0), 1.0)
+    Z = np.ones((n, d + 1))
+    Z[:, :d] = (X - X.mean(axis=0)) / stds
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    lam, rng = 1.0 / (n * C), rng_for(seed, SVM_STREAM)
+    w, w_avg = np.zeros(d + 1), np.zeros(d + 1)
+    for t in range(1, epochs * n + 1):
+        i = int(rng.random() * n)
+        hit = y_pm[i] * (Z[i] @ w) < 1.0
+        w *= 1.0 - 1.0 / t
+        if hit:
+            w += 1.0 / (lam * t) * y_pm[i] * Z[i]
+        w_avg += (w - w_avg) / t
+    return w_avg
+
+
 class TestFit:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fit_equals_the_stepwise_reference_bit_for_bit(self, seed):
+        X, y = blobs(gap=0.5, seed=seed)
+        model = fit_linear_svm(X, y, C=0.3, epochs=3, seed=seed)
+        expected = reference_weights(X, y, C=0.3, epochs=3, seed=seed)
+        assert np.array_equal(np.append(model.weights, model.intercept), expected)
+
     def test_separable_data_ranks_perfectly(self):
         X, y = blobs(gap=3.0)
         model = fit_linear_svm(X, y, C=10.0, epochs=5, seed=1)
