@@ -11,17 +11,18 @@ cell seeds from its grid index and fold. A forest cell seeds from its
 (mtry, nodesize) and fold, so the cells of one (mtry, nodesize) group
 share their seed on a fold, and their forests nest: fewer trees are a
 prefix, and a smaller ``maxnodes`` cuts each tree after its first splits
-(``forest.py``). So a fold grows only each group's largest cell, the one
-with the group's most trees and largest ``maxnodes``, and cuts every
-other cell's forest from it with ``fit_random_forest(..., grown=...)``,
-bit for bit the forest that cell would grow.
+(``forest.py``). So a fold codes its rows once and grows only each
+group's first cell in the order largest ``maxnodes``, then most trees.
+Each later cell is cut (``fit_random_forest(..., grown=...)``), bit for
+bit, from the cell before it at its budget, or from the grown forest at a
+new budget, so a budget's cells share their trees, scored in one walk.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from ..errors import ConfigError
 from ..evaluation import auc_score
 from ..seeding import FOREST_GRID_STREAM, GRID_STREAM, derive_seed
 from ..textio import write_csv
-from .forest import fit_random_forest, rf_predict_proba
+from .forest import CodedMatrix, fit_random_forest, rf_nested_proba
 from .svm import fit_linear_svm, svm_decision_scores
 
 
@@ -55,23 +56,26 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
 
 def rf_fold_auc(X, y, fit_idx, val_idx, configs: list[dict], seed: int,
                 fold: int) -> list[float]:
-    """Each forest configuration's validation AUC on one fold: one forest
-    grown per (mtry, nodesize) group, the others cut from it."""
-    X_fit, y_fit, X_val, y_val = X[fit_idx], y[fit_idx], X[val_idx], y[val_idx]
+    """Each forest configuration's validation AUC on one fold: its rows coded
+    once, one forest grown per (mtry, nodesize) group, the others cut."""
+    coded, y_fit, X_val, y_val = CodedMatrix(X[fit_idx]), y[fit_idx], X[val_idx], y[val_idx]
     groups: dict[tuple, list[int]] = {}
     for i, params in enumerate(configs):
         groups.setdefault((params["mtry"], params["nodesize"]), []).append(i)
     aucs = [0.0] * len(configs)
     for (mtry, nodesize), cells in groups.items():
         group_seed = derive_seed(seed, FOREST_GRID_STREAM, mtry, nodesize, fold)
-        # A Cartesian grid holds the cell with both the most trees and the
-        # largest budget, and every other cell of the group nests in it.
-        top = max(cells, key=lambda i: (configs[i]["ntree"], configs[i]["maxnodes"]))
-        grown = fit_random_forest(X_fit, y_fit, seed=group_seed, **configs[top])
-        for i in cells:
-            model = grown if i == top else fit_random_forest(
-                X_fit, y_fit, seed=group_seed, grown=grown, **configs[i])
-            aucs[i] = auc_score(rf_predict_proba(model, X_val), y_val)
+        # A Cartesian grid's first cell in this order holds every other.
+        cells.sort(key=lambda i: (-configs[i]["maxnodes"], -configs[i]["ntree"]))
+        grown = fit_random_forest(coded, y_fit, seed=group_seed, **configs[cells[0]])
+        for _, ladder in groupby(cells, key=lambda i: configs[i]["maxnodes"]):
+            ladder, forests, source = list(ladder), [], grown
+            for i in ladder:
+                source = grown if i == cells[0] else fit_random_forest(
+                    coded, y_fit, seed=group_seed, grown=source, **configs[i])
+                forests.append(source)
+            for i, proba in zip(ladder, rf_nested_proba(forests, X_val)):
+                aucs[i] = auc_score(proba, y_val)
     return aucs
 
 

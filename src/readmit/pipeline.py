@@ -61,7 +61,7 @@ DEFAULT_GENERATOR = json.loads(json.dumps(
     {f.name: f.default for f in dataclasses.fields(GeneratorConfig) if f.name != "seed"},
     default=date.isoformat))
 
-# Scalar config fields no stage can run with outside these limits:
+# Config fields no stage can run with outside these limits:
 # name -> (accepts, what is wanted); ``_from_json`` has checked the type.
 CONFIG_LIMITS = {
     "fold_count": (lambda v: v >= 2, "an integer >= 2"),
@@ -73,6 +73,12 @@ CONFIG_LIMITS = {
     "jobs": (lambda v: v >= 1, "an integer >= 1"),
     "pca_variance_target": (lambda v: 0 < v <= 1, "a number in (0, 1]"),
     "svm_epochs": (lambda v: v >= 1, "an integer >= 1"),
+    "svm_c_grid": (lambda v: v and all(_is_number(c, False) and c > 0 for c in v),
+                   "a non-empty list of numbers > 0"),
+    "rf_grid": (lambda v: set(v) == set(DEFAULT_RF_GRID) and all(
+        isinstance(vs, list) and vs and all(_is_number(x, True) and x >= 1 for x in vs)
+        for vs in v.values()), "an object mapping exactly ntree, mtry, nodesize and maxnodes "
+        "to non-empty lists of integers >= 1"),
 }
 INPUT_PATHS = ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")
 # Claims input -> (its parser in this module, its generated file, what that file is called).
@@ -168,13 +174,11 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         """The config with ``raw``'s values over the defaults. Raises
         ConfigError, before any stage runs, on a key or value ``_from_json``
-        refuses, a value in ``CONFIG_LIMITS`` out of range, a generator
-        section ``GeneratorConfig`` or ``SignalSpec`` cannot take, an
-        ``svm_c_grid`` that is not a non-empty list of numbers > 0, or an
-        ``rf_grid`` that does not give each forest parameter a non-empty list
-        of integers >= 1 with ``mtry`` at most the design-matrix width of the
-        mapping files. A ``generator.seed`` is dropped: the run's seed is the
-        generator's."""
+        refuses, a value ``CONFIG_LIMITS`` does not accept (the two grids
+        included), a generator section ``GeneratorConfig`` or ``SignalSpec``
+        cannot take, or an ``rf_grid`` ``mtry`` above the design-matrix width
+        of the mapping files. A ``generator.seed`` is dropped: the run's seed
+        is the generator's."""
         given = _from_json(cls, raw, "config")
         cfg = cls(**{name: value for name, value in given.items() if name != "generator"})
         cfg.generator.update(given.get("generator", {}))
@@ -187,22 +191,9 @@ class RunConfig:
             cfg.generator_config()
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"generator: {exc}") from exc
-        c_grid = cfg.svm_c_grid
-        if not c_grid or any(not _is_number(c, False) or c <= 0 for c in c_grid):
-            raise ConfigError("svm_c_grid must be a non-empty list of numbers > 0, "
-                              f"got {c_grid!r}")
-        grid = cfg.rf_grid
-        if set(grid) != set(DEFAULT_RF_GRID):
-            raise ConfigError(f"rf_grid must have exactly the keys {list(DEFAULT_RF_GRID)}, "
-                              f"got {grid!r}")
-        for name, values in grid.items():
-            if (not isinstance(values, list) or not values
-                    or any(not _is_number(v, True) or v < 1 for v in values)):
-                raise ConfigError(f"rf_grid {name} must be a non-empty list of integers >= 1, "
-                                  f"got {values!r}")
         width = len(feature_columns(_load_mappings(cfg)))
-        if max(grid["mtry"]) > width:
-            raise ConfigError(f"rf_grid mtry {max(grid['mtry'])} exceeds the {width} "
+        if max(cfg.rf_grid["mtry"]) > width:
+            raise ConfigError(f"rf_grid mtry {max(cfg.rf_grid['mtry'])} exceeds the {width} "
                               "design-matrix columns")
         return cfg
 
@@ -538,8 +529,7 @@ def stage_evaluate(
 
 def run_all(cfg: RunConfig, out_root: Path) -> Path:
     out_root = Path(out_root)
-    needs_generate = not (cfg.medical and cfg.pharmacy and cfg.demographics)
-    if needs_generate:
+    if not (cfg.medical and cfg.pharmacy and cfg.demographics):
         stage_generate(cfg, out_root)
     stage_episodes(cfg, out_root)
     stage_features(cfg, out_root)

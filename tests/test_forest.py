@@ -11,9 +11,10 @@ from readmit.dataset import SplitSpec, one_hot_encode, stratified_kfold, train_t
 from readmit.episodes import build_labeled_admissions
 from readmit.features import extract_features
 from readmit.models.forest import (
-    RandomForestModel, Tree, _CodedMatrix, _drawn_columns, _fit_trees, _importances,
-    fit_random_forest, rf_importances, rf_predict_proba,
+    RandomForestModel, Tree, _block_scores, _drawn_columns, _fit_trees, _importances,
+    fit_random_forest, rf_importances, rf_nested_proba, rf_predict_proba,
 )
+from readmit.models.forest import CodedMatrix as _CodedMatrix
 from readmit.seeding import FOREST_GRID_STREAM, derive_seed, seed_sequence
 from readmit.synth import GeneratorConfig, SignalSpec, generate
 
@@ -419,6 +420,109 @@ class TestPrediction:
             importances=np.zeros(2),
         )
         assert np.all(rf_predict_proba(model, np.zeros((3, 2))) == 0.5)
+
+
+    @pytest.mark.parametrize("columns", [2, 8])
+    def test_x_of_another_width_raises_naming_both(self, columns):
+        X, y = xor_data(60, seed=6)
+        X = np.column_stack([X, X])
+        model = fit_random_forest(X, y, ntree=3, mtry=2, nodesize=1, maxnodes=16, seed=5)
+        with pytest.raises(ValueError, match=rf"\(60, {columns}\).* 4 columns"):
+            rf_predict_proba(model, np.zeros((60, columns)))
+
+    def test_a_forest_with_no_trees_raises(self):
+        model = RandomForestModel(trees=[], ntree=0, mtry=1, nodesize=1, maxnodes=1,
+                                  seed=0, importances=np.zeros(2))
+        with pytest.raises(ValueError, match="no trees"):
+            rf_predict_proba(model, np.zeros((3, 2)))
+
+    def test_a_tree_split_outside_x_raises(self):
+        # A loaded model's importances may claim more columns than its trees use,
+        # or fewer: a flat read past a row would score a neighbouring row's cell.
+        tree = Tree(*(np.array(v, dtype=t) for v, t in zip(
+            ([2, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0.5, 0, 1], [4, 2, 2]),
+            (np.int32, float, np.int32, np.int32, float, np.int32))))
+        model = RandomForestModel(trees=[tree], ntree=1, mtry=1, nodesize=1, maxnodes=2,
+                                  seed=0, importances=np.zeros(2))
+        with pytest.raises(ValueError, match="column 2 of X's 2"):
+            rf_predict_proba(model, np.zeros((3, 2)))
+
+
+def _ladder(X, y, ntrees, maxnodes, **params):
+    """The forests of ``ntrees`` (most first) at one budget, each cut from
+    the one before it, the first from a forest grown to ``maxnodes[0]``."""
+    grown = fit_random_forest(X, y, ntree=ntrees[0], maxnodes=maxnodes[0], **params)
+    ladders = []
+    for budget in maxnodes:
+        ladder = []
+        for ntree in ntrees:
+            source = ladder[-1] if ladder else grown
+            ladder.append(fit_random_forest(X, y, ntree=ntree, maxnodes=budget,
+                                            grown=source, **params))
+        ladders.append(ladder)
+    return ladders
+
+
+class TestNestedScoring:
+    """``rf_nested_proba`` walks each tree of a ladder of nested forests once."""
+
+    def test_equals_each_forests_own_scores_across_the_block_boundary(self):
+        X, y = xor_data(300, seed=8)
+        params = dict(mtry=2, nodesize=1, seed=19)
+        ladders = _ladder(X, y, [40, 33, 3], [64, 6], **params)
+        binds = False
+        for budget, ladder in zip([64, 6], ladders):
+            assert all(a is b for a, b in zip(ladder[1].trees, ladder[0].trees))
+            rows = np.random.default_rng(budget).random((90, 2))
+            order = [2, 0, 1]   # any order of the ladder's forests
+            for i, proba in zip(order, rf_nested_proba([ladder[i] for i in order], rows)):
+                alone = fit_random_forest(X, y, ntree=len(ladder[i].trees), maxnodes=budget,
+                                          **params)
+                assert proba.tobytes() == rf_predict_proba(alone, rows).tobytes()
+            binds |= ladder[0].trees[0].feature.size < ladders[0][0].trees[0].feature.size
+        assert binds
+
+    def test_forests_that_do_not_nest_are_refused(self):
+        X, y = xor_data(120, seed=9)
+        params = dict(ntree=4, mtry=2, nodesize=1, maxnodes=8, seed=3)
+        a, b = fit_random_forest(X, y, **params), fit_random_forest(X, y, **params)
+        assert rf_model_text(a) == rf_model_text(b)   # equal trees, other objects
+        with pytest.raises(ValueError, match="do not nest"):
+            rf_nested_proba([a, b], X)
+        small = fit_random_forest(X, y, grown=a, **{**params, "ntree": 2, "maxnodes": 4})
+        with pytest.raises(ValueError, match="do not nest"):
+            rf_nested_proba([a, small], X)
+
+    @pytest.mark.parametrize("decimals", [0, 2])
+    def test_a_fit_given_the_coding_equals_a_fit_given_x(self, decimals):
+        rng = np.random.default_rng(decimals)
+        X = rng.normal(size=(150, 5)).round(decimals)
+        y = (rng.random(150) < 0.3 + 0.4 * (X[:, 0] > 0)).astype(int)
+        coded = _CodedMatrix(X)
+        params = dict(ntree=35, mtry=3, nodesize=2, maxnodes=12, seed=decimals)
+        cut = dict(params, ntree=20, maxnodes=5)
+        for a, b in [(fit_random_forest(coded, y, **params), fit_random_forest(X, y, **params)),
+                     (fit_random_forest(coded, y, grown=fit_random_forest(coded, y, **params),
+                                        **cut),
+                      fit_random_forest(X, y, **cut))]:
+            assert rf_model_text(a) == rf_model_text(b)
+            for s, t in zip(a.trees, b.trees, strict=True):
+                for field in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                    u, v = getattr(s, field), getattr(t, field)
+                    assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), field
+            assert a.importances.tobytes() == b.importances.tobytes()
+
+    @given(st.data())
+    def test_flat_walk_equals_the_gathered_walk_on_rows_with_nan(self, data):
+        X, y = xor_data(80, seed=data.draw(st.integers(0, 2**16), label="data seed"))
+        model = fit_random_forest(X, y, ntree=data.draw(st.integers(1, 40)), mtry=2,
+                                  nodesize=1, maxnodes=data.draw(st.integers(1, 30)), seed=7)
+        cells = st.one_of(st.floats(0, 1), st.sampled_from([np.nan, np.inf, -np.inf]))
+        rows = data.draw(st.integers(1, 12), label="rows")
+        Z = np.array(data.draw(st.lists(cells, min_size=2 * rows, max_size=2 * rows)))
+        Z = Z.reshape(rows, 2)
+        gathered = np.stack([tree.value[_leaf_index(tree, Z)] for tree in model.trees])
+        assert _block_scores(model.trees, Z).tobytes() == gathered.tobytes()
 
 
 class TestImportances:

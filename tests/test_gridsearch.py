@@ -7,7 +7,7 @@ from readmit.dataset import stratified_kfold
 from readmit.errors import ConfigError
 from readmit.evaluation import auc_score
 from readmit.models import gridsearch
-from readmit.models.forest import fit_random_forest, rf_predict_proba
+from readmit.models.forest import CodedMatrix, fit_random_forest, rf_predict_proba
 from readmit.models.gridsearch import (
     expand_grid, grid_search, rf_fold_auc, svm_fold_auc, write_grid_csv,
 )
@@ -217,6 +217,47 @@ def test_every_cell_forest_equals_its_own_fit(monkeypatch, data_seed, n_folds, d
                 budget_binds |= any(t.feature.size < u.feature.size
                                     for t, u in zip(cut.trees, unbounded.trees))
     assert budget_binds
+
+
+def test_a_fold_codes_once_and_walks_each_ladder_once(monkeypatch):
+    X, y = small_problem(seed=25, n=150)
+    folds = stratified_kfold(y, 2, seed=26)
+    fits, walks = [], []
+    fit, nested = gridsearch.fit_random_forest, gridsearch.rf_nested_proba
+
+    def capture_fit(*args, **kwargs):
+        fits.append((args[0], kwargs, fit(*args, **kwargs)))
+        return fits[-1][2]
+
+    def capture_walk(forests, X):
+        walks.append(list(forests))
+        return nested(forests, X)
+
+    monkeypatch.setattr(gridsearch, "fit_random_forest", capture_fit)
+    monkeypatch.setattr(gridsearch, "rf_nested_proba", capture_walk)
+    grid_search(rf_fold_auc, ORACLE_GRID, X, y, folds, seed=27)
+    cells = len(expand_grid(ORACLE_GRID))
+    assert len(fits) == cells * len(folds)
+    codings = []
+    for fold, (fit_idx, _) in enumerate(folds):
+        calls = fits[fold * cells:(fold + 1) * cells]
+        codings.append(calls[0][0])
+        assert isinstance(codings[-1], CodedMatrix)
+        assert codings[-1].X.tobytes() == X[fit_idx].tobytes()
+        assert all(coded is codings[-1] for coded, _, _ in calls)
+        # Each group fits its largest budget first, and most trees first
+        # within a budget, whatever the grid's declared order.
+        for g in range(0, cells, 4):
+            order = [(k["maxnodes"], k["ntree"]) for _, k, _ in calls[g:g + 4]]
+            assert order == [(1000, 35), (1000, 3), (4, 35), (4, 3)]
+            first, *rest = (f for _, _, f in calls[g:g + 4])
+            assert [k["grown"] for _, k, _ in calls[g + 1:g + 4]] == [first, first, rest[1]]
+    assert codings[0] is not codings[1]
+    # One walk per (group, budget, fold) over a ladder that shares its trees
+    assert len(walks) == 4 * 2 * len(folds)
+    for ladder in walks:
+        assert [f.ntree for f in ladder] == [35, 3]
+        assert all(a is b for a, b in zip(ladder[1].trees, ladder[0].trees))
 
 
 @pytest.mark.parametrize("change", [

@@ -1,3 +1,5 @@
+import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -7,13 +9,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from datetime import date
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import readmit
@@ -787,6 +790,102 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["train"])  # --out is required
         assert err.value.code == 2
+
+
+CLAIM_FILES = {"medical": "medical_claims.csv", "pharmacy": "pharmacy_claims.csv",
+               "demographics": "demographics.csv"}
+# Rows each claims file refuses, for one of its users: an impossible date, a
+# short row, an NDC of 12 digits, a gender or an age out of range.
+BAD_ROWS = {
+    "medical": ["{},BAD1,2017-99-01,2017-01-02,4280,00000,99231", "{},BAD2"],
+    "pharmacy": ["{},BAD3,2017-02-30,0002759701", "{},BAD4,2017-01-01,123456789012"],
+    "demographics": ["{},X,30,White,Noncore", "{},F,-4,White,Noncore"],
+}
+
+
+class TestInputInvariances:
+    """Harmless changes to SMALL_CONFIG's generated claims files leave every
+    file the stages from episodes on write unchanged."""
+
+    @staticmethod
+    def _claims(small_run) -> dict[str, list[list[str]]]:
+        data = small_run["out"] / "data"
+        with contextlib.ExitStack() as stack:
+            return {kind: list(csv.reader(stack.enter_context(open(data / name, newline=""))))
+                    for kind, name in CLAIM_FILES.items()}
+
+    @staticmethod
+    def _run(small_run, claims, *flags) -> tuple[dict[str, bytes], str]:
+        """The tree outside ``data/`` written from ``claims`` (kind -> rows,
+        header first) by the stages from episodes on, and their stderr."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = Path(tmp), io.StringIO()
+            (out / "data").mkdir()
+            for kind, rows in claims.items():
+                with open(out / "data" / CLAIM_FILES[kind], "w", newline="") as fh:
+                    csv.writer(fh, lineterminator="\n").writerows(rows)
+            with contextlib.redirect_stderr(err):
+                for stage in ("episodes", "features", "train", "evaluate"):
+                    assert main([stage, "--config", str(small_run["config_path"]),
+                                 "--out", str(out), *flags]) == 0
+            tree = {name: data for name, data in tree_bytes(out).items()
+                    if not name.startswith("data/")}
+        return tree, err.getvalue()
+
+    @staticmethod
+    def _digests(tree: dict[str, bytes]) -> dict[str, str]:
+        return {name: hashlib.sha256(data).hexdigest() for name, data in tree.items()}
+
+    def _expected(self, small_run) -> dict[str, str]:
+        return {name: digest for name, digest in small_run["sha256"].items()
+                if not name.startswith("data/")}
+
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_shuffled_rows_change_no_output(self, small_run, data):
+        claims = {kind: [rows[0], *data.draw(st.permutations(rows[1:]), label=kind)]
+                  for kind, rows in self._claims(small_run).items()}
+        tree, _ = self._run(small_run, claims)
+        assert self._digests(tree) == self._expected(small_run)
+
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_permuted_columns_change_no_output(self, small_run, data):
+        claims = {}
+        for kind, rows in self._claims(small_run).items():
+            order = data.draw(st.permutations(range(len(rows[0]))), label=kind)
+            claims[kind] = [[row[i] for i in order] for row in rows]
+        tree, _ = self._run(small_run, claims)
+        assert self._digests(tree) == self._expected(small_run)
+
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_lenient_run_skips_bad_rows_and_changes_only_manifests(self, small_run, data):
+        claims = self._claims(small_run)
+        users = [row[0] for row in claims["demographics"][1:]]
+        skipped = dict.fromkeys(CLAIM_FILES, 0)
+        for _ in range(data.draw(st.integers(1, 4), label="bad rows")):
+            kind = data.draw(st.sampled_from(sorted(CLAIM_FILES)))
+            row = data.draw(st.sampled_from(BAD_ROWS[kind])).format(
+                data.draw(st.sampled_from(users)))
+            at = data.draw(st.integers(1, len(claims[kind])))
+            claims[kind].insert(at, row.split(","))
+            skipped[kind] += 1
+        tree, err = self._run(small_run, claims, "--lenient")
+        expected = self._expected(small_run)
+        assert tree.keys() == expected.keys()
+        for name, digest in self._digests(tree).items():
+            if name.endswith("/manifest.json"):
+                # The config's strict flag, and so its hash, are the one change.
+                got = json.loads(tree[name])
+                want = json.loads((small_run["out"] / name).read_text())
+                assert got["config"] == {**want["config"], "strict": False}
+                assert {k: v for k, v in got.items() if k not in ("config", "config_hash")} \
+                    == {k: v for k, v in want.items() if k not in ("config", "config_hash")}
+            else:
+                assert digest == expected[name], name
+        for kind, count in skipped.items():
+            assert (f"file={kind} skipped={count}" in err) == (count > 0), kind
 
 
 class TestPersistence:
