@@ -4,16 +4,17 @@ All parsers are deterministic and order-preserving. In strict mode (the
 default) the first bad row raises :class:`ParseError`; in lenient mode bad
 rows are skipped and reported in ``ParseResult.errors``.
 
-A row costs the csv module, the checks and its frozen, slotted record's init.
-Repeated dates, users and codes are checked once per distinct text, in a
-``Memo`` that lives for one ``parse_*`` call, never in a process-wide cache.
+A row costs the csv module, the checks and one ``tuple.__new__`` for its
+named-tuple record. Repeated dates, users and codes are checked once per
+distinct text, in a ``Memo`` that lives for one ``parse_*`` call only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from datetime import date
 from functools import partial
+from typing import NamedTuple
 
 from .codes import Memo, normalize_icd9
 from .textio import ParseResult, parse_table, write_csv
@@ -35,10 +36,10 @@ PHARMACY_COLUMNS = ["user_id", "claim_id", "service_date", "ndc_code"]
 DEMOGRAPHICS_COLUMNS = ["user_id", "gender", "age", "ethnicity", "scheme_type"]
 
 NO_DIAGNOSIS_SENTINEL = "00000"
+_ISO_DAY = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII).fullmatch
 
 
-@dataclass(frozen=True, slots=True)
-class MedicalClaim:
+class MedicalClaim(NamedTuple):
     user_id: str
     claim_id: str
     service_start: date
@@ -48,16 +49,14 @@ class MedicalClaim:
     cpt_code: str
 
 
-@dataclass(frozen=True, slots=True)
-class PharmacyClaim:
+class PharmacyClaim(NamedTuple):
     user_id: str
     claim_id: str
     service_date: date
     ndc_code: str                       # exactly 10 digits, zero-padded
 
 
-@dataclass(frozen=True, slots=True)
-class DemographicRecord:
+class DemographicRecord(NamedTuple):
     user_id: str
     gender: str
     age: int
@@ -65,9 +64,16 @@ class DemographicRecord:
     scheme_type: str
 
 
+def iso_date(text: str) -> date:
+    """The day ``text`` writes as ``YYYY-MM-DD`` (Python 3.11 reads week dates too)."""
+    if not _ISO_DAY(text):
+        raise ValueError(f"{text!r} is not YYYY-MM-DD")
+    return date.fromisoformat(text)
+
+
 def _parse_date(text: str, what: str) -> date:
     try:
-        return date.fromisoformat(text.strip())
+        return iso_date(text.strip())
     except ValueError:
         raise ValueError(f"malformed {what} date {text.strip()!r} (expected YYYY-MM-DD)")
 

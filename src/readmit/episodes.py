@@ -15,9 +15,9 @@ the code maps made per ``build_labeled_admissions`` call, not a process-wide cac
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from operator import attrgetter
+from typing import NamedTuple
 
 from .claims import MedicalClaim, group_by_user
 from .codes import CodeMappingConfig
@@ -33,8 +33,7 @@ ADMISSIONS_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Episode:
+class Episode(NamedTuple):
     user_id: str
     episode_id: str                       # "E1", "E2", ... per user, chronological
     start: date
@@ -42,8 +41,7 @@ class Episode:
     member_claims: tuple[MedicalClaim, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledAdmission:
+class LabeledAdmission(NamedTuple):
     user_id: str
     admission_id: str                     # "A1", "A2", ... global, (user_id, start) order
     episode_id: str

@@ -19,7 +19,6 @@ all walk it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -101,8 +100,7 @@ FAMILIES: tuple[Family, ...] = (
 FEATURES_COLUMNS = ["user_id", "admission_id", *(f.field for f in FAMILIES), "readmitted_within_30d"]
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionFeatures:
+class AdmissionFeatures(NamedTuple):
     user_id: str
     admission_id: str
     comorbidities: frozenset[str]

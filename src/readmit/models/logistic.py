@@ -36,6 +36,7 @@ class LogisticModel:
     converged: bool
     n_iter: int
     final_nll: float
+    final_loglik: float = np.nan   # unpenalized, at the fit; not saved, so nan on a loaded model
 
 
 def sigmoid(z):
@@ -52,12 +53,13 @@ def _matvec(A, v):
 
 
 def stack_nll(X, y, weights, intercepts, l2_penalty) -> np.ndarray:
-    """``penalized_nll`` of each fit of a stack: ``X`` is ``(m, n, d)``,
-    ``weights`` ``(m, d)`` and ``intercepts`` ``(m,)``."""
+    """Row 0: ``penalized_nll`` of each fit of a stack; row 1: the same, unpenalized.
+    ``X`` is ``(m, n, d)``, ``weights`` ``(m, d)`` and ``intercepts`` ``(m,)``."""
     z = _matvec(X, weights) + intercepts[:, None]
     # log(1 + exp(z)) - y*z, stable for large |z|
     nll = np.sum(np.logaddexp(0.0, z) - y * z, axis=1)
-    return nll + 0.5 * l2_penalty * (weights[:, None, :] @ weights[:, :, None])[:, 0, 0]
+    penalty = 0.5 * l2_penalty * (weights[:, None, :] @ weights[:, :, None])[:, 0, 0]
+    return np.stack([nll + penalty, nll])
 
 
 def penalized_nll(X, y, weights, intercept, l2_penalty) -> float:
@@ -65,7 +67,7 @@ def penalized_nll(X, y, weights, intercept, l2_penalty) -> float:
     saturation-safe form."""
     weights = np.asarray(weights, dtype=np.float64)
     return float(stack_nll(np.asarray(X, dtype=np.float64)[None], y, weights[None],
-                           np.array([intercept], dtype=np.float64), l2_penalty)[0])
+                           np.array([intercept], dtype=np.float64), l2_penalty)[0, 0])
 
 
 def nll_gradient(X, y, weights, intercept, l2_penalty):
@@ -128,8 +130,8 @@ def fit_logistic_stack(
     ridge = np.full(d + 1, l2_penalty)
     ridge[d] = 0.0
     diag = np.arange(d + 1)
-    nll = stack_nll(X, y, w, b, l2_penalty)
-    out_w, out_b, out_nll = np.empty((m, d)), np.empty(m), np.empty(m)
+    nll = stack_nll(X, y, w, b, l2_penalty)   # row 0 steers the fit, row 1 is reported
+    out_w, out_b, out_nll = np.empty((m, d)), np.empty(m), np.empty((2, m))
     converged, n_iter = np.zeros(m, dtype=bool), np.zeros(m, dtype=int)
     live = np.arange(m)   # the stack's fits, by their index in ``X``
 
@@ -138,13 +140,13 @@ def fit_logistic_stack(
         and drop them from the stack."""
         nonlocal live, X, w, b, nll
         ids = live[rows]
-        out_w[ids], out_b[ids], out_nll[ids] = w[rows], b[rows], nll[rows]
+        out_w[ids], out_b[ids], out_nll[:, ids] = w[rows], b[rows], nll[:, rows]
         n_iter[ids], converged[ids] = it, done
         keep = np.ones(live.size, dtype=bool)
         keep[rows] = False
         if keep.any():
             X = _take(X, keep)
-        live, w, b, nll = live[keep], w[keep], b[keep], nll[keep]
+        live, w, b, nll = live[keep], w[keep], b[keep], nll[:, keep]
         return keep
 
     for it in range(1, max_iter + 1):
@@ -175,9 +177,9 @@ def fit_logistic_stack(
             b_try = b[todo] - step * delta[todo, d]
             X_try = X if todo.size == live.size else _take(X, todo)
             nll_try = stack_nll(X_try, y, w_try, b_try, l2_penalty)
-            ok = nll_try <= nll[todo]
+            ok = nll_try[0] <= nll[0, todo]
             took = todo[ok]
-            w[took], b[took], nll[took] = w_try[ok], b_try[ok], nll_try[ok]
+            w[took], b[took], nll[:, took] = w_try[ok], b_try[ok], nll_try[:, ok]
             todo = todo[~ok]
             step *= 0.5
         if todo.size:   # no descent along the Newton direction; report not converged
@@ -191,7 +193,7 @@ def fit_logistic_stack(
     return [
         LogisticModel(weights=out_w[i], intercept=float(out_b[i]), l2_penalty=l2_penalty,
                       converged=bool(converged[i]), n_iter=int(n_iter[i]),
-                      final_nll=float(out_nll[i]))
+                      final_nll=float(out_nll[0, i]), final_loglik=float(-out_nll[1, i]))
         for i in range(m)
     ]
 

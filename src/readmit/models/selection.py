@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logistic import fit_logistic_stack, stack_nll
+from .logistic import fit_logistic_stack
 
 # Design entries (float64) per stack of candidate fits: 128 KB, so that a
 # stack and each array of its size or smaller stays under glibc malloc's
@@ -85,8 +85,7 @@ def loglik_feature_select(
     fits = 0
 
     def fit(columns, start):
-        """The (model, unpenalized log-likelihood) of the fit on
-        ``X[:, c]`` for each row ``c`` of ``columns``, in one stack."""
+        """The model of the fit on ``X[:, c]`` for each row ``c`` of ``columns``, in one stack."""
         nonlocal fits
         stack = X.T[columns].transpose(0, 2, 1)
         models = fit_logistic_stack(stack, y, l2_penalty=1e-6, tol=1e-6,
@@ -94,13 +93,10 @@ def loglik_feature_select(
         fits += len(models)
         unconverged.extend(c for c, model in zip(columns.tolist(), models)
                            if not model.converged)
-        # unpenalized log-likelihood at the (lightly penalized) fit
-        weights = np.array([model.weights for model in models])
-        intercepts = np.array([model.intercept for model in models])
-        return zip(models, (-stack_nll(stack, y, weights, intercepts, 0.0)).tolist())
+        return models
 
     selected: list[int] = []
-    [(current, current_ll)] = fit(np.empty((1, 0), dtype=np.intp), None)
+    [current] = fit(np.empty((1, 0), dtype=np.intp), None)
     while usable:
         best_j, best_stat, best = None, -math.inf, None
         per_stack = max(1, STACK_DOUBLES // (len(y) * (len(selected) + 1)))
@@ -109,15 +105,15 @@ def loglik_feature_select(
             chunk = usable[lo:lo + per_stack]
             columns = np.array([selected + [j] for j in chunk], dtype=np.intp)
             chunk_start = (np.tile(start, (len(chunk), 1)), np.full(len(chunk), current.intercept))
-            for j, (model, ll) in zip(chunk, fit(columns, chunk_start)):
-                stat = 2.0 * (ll - current_ll)
+            for j, model in zip(chunk, fit(columns, chunk_start)):
+                stat = 2.0 * (model.final_loglik - current.final_loglik)
                 if stat > best_stat:
-                    best_j, best_stat, best = j, stat, (model, ll)
+                    best_j, best_stat, best = j, stat, model
         p_value = chi2_sf_1df(max(best_stat, 0.0))
         if best_j is None or p_value >= significance:
             break
         steps.append(SelectionStep(best_j, best_stat, p_value))
         selected.append(best_j)
         usable.remove(best_j)
-        current, current_ll = best
+        current = best
     return Selection(steps, fits, unconverged)

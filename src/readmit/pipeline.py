@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .claims import (
-    parse_demographics, parse_medical_claims, parse_pharmacy_claims,
+    iso_date, parse_demographics, parse_medical_claims, parse_pharmacy_claims,
     write_demographics, write_medical_claims, write_pharmacy_claims,
 )
 from .codes import load_code_mappings
@@ -119,7 +119,7 @@ def _from_json(cls, raw, what: str) -> dict:
     object ``raw``, with dates parsed. Raises ConfigError on a key ``cls``
     has no field for, a field without a default that ``raw`` lacks, a
     value ``_JSON_KINDS`` does not take for its field's annotation, or a
-    date that is no calendar day."""
+    date that is no `YYYY-MM-DD` calendar day."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be an object, got {raw!r}")
     hints = typing.get_type_hints(cls)
@@ -137,9 +137,9 @@ def _from_json(cls, raw, what: str) -> dict:
             raise ConfigError(f"{name} must be {wanted}, got {value!r}")
         if hints[name] is date:
             try:
-                kwargs[name] = date.fromisoformat(value)
+                kwargs[name] = iso_date(value)
             except ValueError:
-                raise ConfigError(f"{name} must be an ISO calendar date, got {value!r}") from None
+                raise ConfigError(f"{name} must be a YYYY-MM-DD date, got {value!r}") from None
     return kwargs
 
 

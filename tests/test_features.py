@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 from datetime import date
@@ -7,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from readmit.claims import MedicalClaim, PharmacyClaim
-from readmit.episodes import LabeledAdmission, build_labeled_admissions
+from readmit.claims import DemographicRecord, MedicalClaim, PharmacyClaim
+from readmit.episodes import Episode, LabeledAdmission, build_labeled_admissions
 from readmit.features import (
     FAMILIES, FEATURES_COLUMNS, AdmissionFeatures, admitting_diagnosis, age_group,
     count_previous_admissions, count_previous_ed_admissions, count_previous_hospital_visits,
@@ -262,7 +261,29 @@ def test_schema_is_the_family_table():
         "user_id", "admission_id", *(family.field for family in FAMILIES),
         "readmitted_within_30d",
     ]
-    assert FEATURES_COLUMNS == [f.name for f in dataclasses.fields(AdmissionFeatures)]
+    assert FEATURES_COLUMNS == list(AdmissionFeatures._fields)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: claim("C1", "2017-01-01", "2017-01-02", others=("25000",)),
+    lambda: PharmacyClaim("U1", "P1", date(2017, 1, 1), "0002759701"),
+    lambda: DemographicRecord("U1", "F", 70, "Asian", "Noncore"),
+    lambda: Episode("U1", "E1", date(2017, 1, 1), date(2017, 1, 2),
+                    (claim("C1", "2017-01-01", "2017-01-02"),)),
+    lambda: admission("2017-01-01", "2017-01-02", [claim("C1", "2017-01-01", "2017-01-02")]),
+    lambda: AdmissionFeatures("U1", "A1", frozenset({"CHF"}), "F", "Boomers", "Hispanic",
+                              "Micropolitan", 12, frozenset({"07"}), 3, 1, "Others", 4,
+                              frozenset({3}), True),
+], ids=lambda make: type(make()).__name__)
+def test_records_are_immutable_and_hashable(make):
+    """What every per-row record keeps: no field can be set, equal records
+    hash alike, and a record carries no ``__dict__``."""
+    record = make()
+    with pytest.raises(AttributeError):
+        record.user_id = "U2"
+    assert record.user_id == "U1"
+    assert record is not make() and hash(record) == hash(make())
+    assert not hasattr(record, "__dict__")
 
 
 def test_features_csv_bytes_are_pinned():

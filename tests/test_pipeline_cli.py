@@ -434,6 +434,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"error: {bad}: line 3: byte 0xff is not UTF-8" in err and "Traceback" not in err
 
+    # A claims cell is stripped, so only the trailing space is read; Python
+    # 3.11's date.fromisoformat would read the first two as calendar days.
+    @pytest.mark.parametrize("text,code", [("20170101", 4), ("2017-W01-1", 4),
+                                           ("2017-01-01 ", 0)])
+    def test_claims_date_other_than_yyyy_mm_dd_exit_4(self, tmp_path, worked_example_files,
+                                                      capsys, text, code):
+        bad = tmp_path / "medical_claims.csv"
+        bad.write_text(worked_example_files["medical"].read_text()
+                       + f"User3,C9,{text},2017-01-02,4280,00000,99231\n")
+        assert main(["episodes", "--medical", str(bad), "--out", str(tmp_path / "o")]) == code
+        wanted = (f"error: {bad}: line 9: malformed service_start date {text!r} "
+                  "(expected YYYY-MM-DD)")
+        assert (wanted in capsys.readouterr().err) == (code == 4)
+
     def test_claims_row_error_names_file(self, tmp_path, worked_example_files, capsys):
         bad = tmp_path / "medical_claims.csv"
         bad.write_text(worked_example_files["medical"].read_text() + "User3,C9,2017-01-01\n")
@@ -569,6 +583,17 @@ class TestCliExitCodes:
     def test_date_that_is_no_calendar_day_names_key_and_value(self):
         with pytest.raises(ConfigError, match=r"start_date .*'2015-02-30'"):
             RunConfig.from_dict({"generator": {"start_date": "2015-02-30"}})
+
+    # Python 3.11's date.fromisoformat also reads the first two, as 2015-01-05
+    # and 2014-12-29; 3.10 refuses both.
+    @pytest.mark.parametrize("text", ["20150105", "2015-W01-1", "2015-01-05 "])
+    def test_start_date_other_than_yyyy_mm_dd_exit_5(self, tmp_path, capsys, text):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**SMALL_CONFIG, "generator": {"start_date": text}}))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(config_path), "--out", str(out)]) == 5
+        assert not out.exists()
+        assert f"start_date must be a YYYY-MM-DD date, got {text!r}" in capsys.readouterr().err
 
     def test_features_model_column_mismatch_exit_5(self, small_run, tmp_path, capsys):
         ccs_map = tmp_path / "ccs_map.csv"
