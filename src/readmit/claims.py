@@ -28,13 +28,6 @@ SCHEME_TYPES = (
 _ETHNICITY = {e.lower(): e for e in ETHNICITIES}
 _SCHEME = {s.lower(): s for s in SCHEME_TYPES}
 
-MEDICAL_COLUMNS = [
-    "user_id", "claim_id", "service_start", "service_end",
-    "primary_diagnosis", "other_diagnoses", "cpt_code",
-]
-PHARMACY_COLUMNS = ["user_id", "claim_id", "service_date", "ndc_code"]
-DEMOGRAPHICS_COLUMNS = ["user_id", "gender", "age", "ethnicity", "scheme_type"]
-
 NO_DIAGNOSIS_SENTINEL = "00000"
 _ISO_DAY = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII).fullmatch
 
@@ -62,6 +55,11 @@ class DemographicRecord(NamedTuple):
     age: int
     ethnicity: str
     scheme_type: str
+
+
+MEDICAL_COLUMNS = list(MedicalClaim._fields)
+PHARMACY_COLUMNS = list(PharmacyClaim._fields)
+DEMOGRAPHICS_COLUMNS = list(DemographicRecord._fields)
 
 
 def iso_date(text: str) -> date:
@@ -188,12 +186,9 @@ def write_medical_claims(records, dest):
 
 
 def write_pharmacy_claims(records, dest):
-    write_csv(dest, PHARMACY_COLUMNS, (
-        [r.user_id, r.claim_id, r.service_date.isoformat(), r.ndc_code] for r in records
-    ))
+    """A record's fields are its row, in header order; a date is written ISO."""
+    write_csv(dest, PHARMACY_COLUMNS, records)
 
 
 def write_demographics(records, dest):
-    write_csv(dest, DEMOGRAPHICS_COLUMNS, (
-        [r.user_id, r.gender, str(r.age), r.ethnicity, r.scheme_type] for r in records
-    ))
+    write_csv(dest, DEMOGRAPHICS_COLUMNS, records)

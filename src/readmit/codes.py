@@ -9,8 +9,9 @@ excerpt of the full AHRQ table (see README for how to replace it).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import MappingError, ParseError
@@ -124,7 +125,6 @@ class CodeMappingConfig:
     comorbidity_map: dict[str, tuple[str, ...]]   # icd9 prefix -> category names
     ccs_ranges: tuple[tuple[int, int, int], ...]  # (cpt_low, cpt_high, ccs_id), sorted
     ccs_labels: dict[int, str]
-    _ccs_lows: tuple[int, ...] = field(default=(), repr=False)
 
     def comorbidities_for(self, icd9_code: str) -> tuple[str, ...]:
         """Longest-prefix lookup; equal-length ties all apply."""
@@ -139,7 +139,7 @@ class CodeMappingConfig:
         if not cpt.isdigit():
             return None
         n = int(cpt)
-        i = bisect_right(self._ccs_lows, n) - 1
+        i = bisect_right(self.ccs_ranges, n, key=itemgetter(0)) - 1
         if i >= 0:
             low, high, ccs_id = self.ccs_ranges[i]
             if low <= n <= high:
@@ -222,11 +222,4 @@ def load_ccs_map(path=None):
 def load_code_mappings(comorbidity_path=None, ccs_path=None) -> CodeMappingConfig:
     """Build a validated :class:`CodeMappingConfig`; paths default to the
     shipped data files."""
-    comorbidity = load_comorbidity_map(comorbidity_path)
-    ccs_ranges, ccs_labels = load_ccs_map(ccs_path)
-    return CodeMappingConfig(
-        comorbidity_map=comorbidity,
-        ccs_ranges=ccs_ranges,
-        ccs_labels=ccs_labels,
-        _ccs_lows=tuple(low for low, _, _ in ccs_ranges),
-    )
+    return CodeMappingConfig(load_comorbidity_map(comorbidity_path), *load_ccs_map(ccs_path))

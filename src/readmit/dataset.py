@@ -8,6 +8,7 @@ train/test. Numeric features pass through unscaled.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ def feature_columns(config: CodeMappingConfig) -> list[str]:
 
 
 def one_hot_encode(features: list[AdmissionFeatures], config: CodeMappingConfig) -> FeatureMatrix:
-    """Each family's columns filled for all rows at once; a level outside
-    its family's domain raises ValueError naming the admission."""
+    """Each family's columns filled for all rows at once; a level outside its
+    family's domain, or a count no float holds, raises ValueError naming the admission."""
     if not features:
         raise ValueError("cannot encode an empty feature list")
     cols = feature_columns(config)
@@ -66,7 +67,12 @@ def one_hot_encode(features: list[AdmissionFeatures], config: CodeMappingConfig)
     for family in FAMILIES:
         values = [getattr(f, family.field) for f in features]
         if family.kind == COUNT:
-            X[:, index[family.field]] = values
+            try:
+                X[:, index[family.field]] = values
+            except OverflowError:
+                f = next(f for f, v in zip(features, values) if v > sys.float_info.max)
+                raise ValueError(f"admission {f.user_id}/{f.admission_id}: {family.field} "
+                                 "value too large for a float") from None
             continue
         position = dict(zip(family.domain(config), (index[c] for c in family.columns(config))))
         rows = np.arange(len(features))

@@ -11,9 +11,10 @@ dated within [start, end]; "previous" counts come only from events strictly
 before the admission start. Unknown codes degrade to empty sets or
 "Others", never to errors.
 
-``FAMILIES`` is the one statement of the feature schema. The features.csv
-reader and writer and the design-matrix columns and encoder in ``dataset``
-all walk it.
+``FAMILIES`` is the one statement of the feature schema. The
+``AdmissionFeatures`` record is built from it, and the features.csv reader
+and writer and the design-matrix columns and encoder in ``dataset`` all walk
+it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class Family(NamedTuple):
             raise ValueError(f"{self.field}: {exc}") from None
 
 
-# In AdmissionFeatures field order, which is also the design-matrix column order.
+# In features.csv column order, which is also the design-matrix column order.
 FAMILIES: tuple[Family, ...] = (
     Family("comorbidities", SET, "comorb_", COMORBIDITY_NAMES),
     Family("gender", ONE_OF, "gender_", GENDERS),
@@ -97,25 +98,13 @@ FAMILIES: tuple[Family, ...] = (
     Family("procedure_categories", SET, "proc_", CodeMappingConfig.ccs_ids, _decimal),
 )
 
-FEATURES_COLUMNS = ["user_id", "admission_id", *(f.field for f in FAMILIES), "readmitted_within_30d"]
-
-
-class AdmissionFeatures(NamedTuple):
-    user_id: str
-    admission_id: str
-    comorbidities: frozenset[str]
-    gender: str
-    age_group: str
-    ethnicity: str
-    scheme_type: str
-    los_days: int
-    medication_categories: frozenset[str]
-    n_prev_admissions: int
-    n_prev_ed_admissions: int
-    admitting_diagnosis: str
-    n_prev_hospital_visits: int
-    procedure_categories: frozenset[int]
-    readmitted_within_30d: bool
+# The two ids, one field per family typed by its kind, then the label.
+AdmissionFeatures = NamedTuple("AdmissionFeatures", [
+    ("user_id", str), ("admission_id", str),
+    *((f.field, {COUNT: int, ONE_OF: str, SET: frozenset}[f.kind]) for f in FAMILIES),
+    ("readmitted_within_30d", bool),
+])
+FEATURES_COLUMNS = list(AdmissionFeatures._fields)
 
 
 def extract_comorbidities(admission: LabeledAdmission, config: CodeMappingConfig) -> frozenset[str]:

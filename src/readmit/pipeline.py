@@ -80,14 +80,14 @@ CONFIG_LIMITS = {
         for vs in v.values()), "an object mapping exactly ntree, mtry, nodesize and maxnodes "
         "to non-empty lists of integers >= 1"),
 }
-INPUT_PATHS = ("medical", "pharmacy", "demographics", "comorbidity_map", "ccs_map")
-# Claims input -> (its parser in this module, its generated file, what that file is called).
+# Claims input -> (its generated file, what that file is called, its writer).
 CLAIM_INPUTS = {
-    "medical": ("parse_medical_claims", "medical_claims.csv", "medical claims file"),
-    "pharmacy": ("parse_pharmacy_claims", "pharmacy_claims.csv", "pharmacy claims file"),
-    "demographics": ("parse_demographics", "demographics.csv", "demographics file"),
+    "medical": ("medical_claims.csv", "medical claims file", write_medical_claims),
+    "pharmacy": ("pharmacy_claims.csv", "pharmacy claims file", write_pharmacy_claims),
+    "demographics": ("demographics.csv", "demographics file", write_demographics),
 }
-# Split setting of the config -> its key in split_manifest.json.
+INPUT_PATHS = (*CLAIM_INPUTS, "comorbidity_map", "ccs_map")
+# Split setting of the config -> its SplitSpec field and key in split_manifest.json.
 SPLIT_KEYS = {"seed": "seed", "train_fraction": "train_fraction", "user_level_split": "user_level"}
 
 
@@ -230,11 +230,7 @@ class RunConfig:
         })
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            seed=self.seed,
-            train_fraction=self.train_fraction,
-            user_level=self.user_level_split,
-        )
+        return SplitSpec(**{key: getattr(self, name) for name, key in SPLIT_KEYS.items()})
 
 
 def _log(stage: str, **info):
@@ -271,17 +267,14 @@ def _load_mappings(cfg: RunConfig):
 
 def _input_path(cfg: RunConfig, out_root: Path, name: str) -> Path:
     """Claims input ``name``'s path in ``cfg``, else the file ``stage_generate`` writes."""
-    return Path(getattr(cfg, name) or out_root / "data" / CLAIM_INPUTS[name][1])
+    return Path(getattr(cfg, name) or out_root / "data" / CLAIM_INPUTS[name][0])
 
 
-def _parse(cfg: RunConfig, out_root: Path, name: str) -> list:
-    """The records of input ``name`` at ``_input_path``. Its parser is
-    looked up when called, so a wrapper set on this module's attribute sees
-    the call. A parse error names the file."""
-    parser, _, what = CLAIM_INPUTS[name]
+def _parse(cfg: RunConfig, out_root: Path, name: str, parser) -> list:
+    """The records ``parser`` reads from claims input ``name``; a parse error names the file."""
     path = _input_path(cfg, out_root, name)
     try:
-        result = globals()[parser](_require(path, what), cfg.strict)
+        result = parser(_require(path, CLAIM_INPUTS[name][1]), cfg.strict)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if result.errors:
@@ -293,9 +286,8 @@ def stage_generate(cfg: RunConfig, out_root: Path) -> Path:
     out_dir = out_root / "data"
     out_dir.mkdir(parents=True, exist_ok=True)
     data = generate(cfg.generator_config())
-    write_medical_claims(data.medical, out_dir / "medical_claims.csv")
-    write_pharmacy_claims(data.pharmacy, out_dir / "pharmacy_claims.csv")
-    write_demographics(data.demographics, out_dir / "demographics.csv")
+    for name, (file_name, _, write) in CLAIM_INPUTS.items():
+        write(getattr(data, name), out_dir / file_name)
     _write_manifest(cfg, "generate", out_dir)
     _log("generate", users=len(data.demographics), medical_claims=len(data.medical),
          admissions=len(data.planted))
@@ -305,8 +297,8 @@ def stage_generate(cfg: RunConfig, out_root: Path) -> Path:
 def stage_episodes(cfg: RunConfig, out_root: Path) -> Path:
     out_dir = out_root / "episodes"
     out_dir.mkdir(parents=True, exist_ok=True)
-    labeled, removed = build_labeled_admissions(_parse(cfg, out_root, "medical"),
-                                                _load_mappings(cfg))
+    labeled, removed = build_labeled_admissions(
+        _parse(cfg, out_root, "medical", parse_medical_claims), _load_mappings(cfg))
     write_admissions_csv(labeled, out_dir / "admissions.csv")
     _write_manifest(cfg, "episodes", out_dir)
     _log("episodes", admissions=len(labeled), readmissions=len(removed))
@@ -316,7 +308,8 @@ def stage_episodes(cfg: RunConfig, out_root: Path) -> Path:
 def stage_features(cfg: RunConfig, out_root: Path) -> Path:
     out_dir = out_root / "features"
     out_dir.mkdir(parents=True, exist_ok=True)
-    medical, pharmacy, demographics = (_parse(cfg, out_root, name) for name in CLAIM_INPUTS)
+    medical, pharmacy, demographics = (_parse(cfg, out_root, name, parser) for name, parser in zip(
+        CLAIM_INPUTS, (parse_medical_claims, parse_pharmacy_claims, parse_demographics)))
     mappings = _load_mappings(cfg)
     labeled, _ = build_labeled_admissions(medical, mappings)
     known = {d.user_id for d in demographics}
@@ -440,15 +433,21 @@ def _check_class_balance(train, test, folds):
                 "other admissions; each side needs both classes")
 
 
+def _row_id(entry) -> tuple[str, str]:
+    if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry)):
+        raise ValueError(f"row id {entry!r} is not a [user_id, admission_id] pair of strings")
+    return tuple(entry)
+
+
 def _read_split_manifest(cfg: RunConfig, matrix, path: Path):
     """The train and test rows of ``matrix`` that the split manifest at
     ``path`` lists, each side in the manifest's order; stderr names each
-    split setting of ``cfg`` that differs from the manifest's. A row listed
-    more than once, on one side or on both, raises ParseError naming it."""
+    split setting of ``cfg`` that differs from the manifest's. A row id not a
+    pair of strings, or listed more than once, raises ParseError naming it."""
     try:
         with text_stream(_require(path, "split manifest")) as fh:
             manifest = json.load(fh)
-        sides = [[tuple(rid) for rid in manifest[key]]
+        sides = [[_row_id(rid) for rid in manifest[key]]
                  for key in ("train_row_ids", "test_row_ids")]
         listed = Counter(rid for side in sides for rid in side)
     except ParseError as exc:

@@ -37,6 +37,7 @@ _PROCEDURE_CPTS = ["61000", "43888", "27130", "27440", "31500", "44950",
 
 _WORST_CASE_LOS = 14
 _SPACING_MAX = 70        # widest draw for the post-admission quiet gap
+MAX_SIGNALS = 12         # calibrate_intercept's time doubles with each signal
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,8 @@ class GeneratorConfig:
             raise ConfigError("readmission_fraction must be in (0, 1)")
         if self.mean_admissions_per_user < 1.0:
             raise ConfigError("mean_admissions_per_user must be at least 1")
+        if len(self.signals) > MAX_SIGNALS:
+            raise ConfigError(f"at most {MAX_SIGNALS} signals, got {len(self.signals)}")
         for name in ("noise_claim_rate", "hospital_visit_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")

@@ -173,6 +173,22 @@ def test_damaged_features_file_fails_cleanly(run, data):
     _evaluate(run, path, data.draw(damaged(source, csv=True)), features=path)
 
 
+def test_count_beyond_float_range_exit_4(run, capsys):
+    """A count that passes as a decimal integer but no float can hold is
+    refused like a level outside its domain: the file, the admission and
+    the column are named."""
+    path = run["damaged"] / "features.csv"
+    header, first, rest = (run["out"] / "features" / "features.csv").read_text().split("\n", 2)
+    cells = first.split(",")
+    cells[header.split(",").index("los_days")] = "9" * 400
+    path.write_text("\n".join([header, ",".join(cells), rest]))
+    assert main(["train", "--config", str(run["config"]), "--features", str(path),
+                 "--out", str(run["root"] / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {path}: admission {cells[0]}/{cells[1]}: los_days" in err
+    assert "Traceback" not in err
+
+
 @FUZZ
 @given(data=st.data())
 def test_damaged_model_file_fails_cleanly(run, data):

@@ -558,6 +558,9 @@ class TestCliExitCodes:
                                                  "strength": 1.0}]}},
                      id="generator-signal-value-number"),
         pytest.param({"generator": {"noise_claim_rate": -3}}, id="generator-rate-negative"),
+        pytest.param({"generator": {"signals": [{"kind": "comorbidity", "value": "4280",
+                                                 "strength": 1.0}] * 13}},
+                     id="generator-13-signals"),
         pytest.param({"generator": {"hospital_visit_rate": 1.5}}, id="generator-rate-above-1"),
         *(pytest.param({"generator": {"signals": [{**signal, "strength": 1.0}]}},
                        id="generator-signal-" + "-".join(f"{k}={v}" for k, v in signal.items()))
@@ -679,6 +682,11 @@ class TestCliExitCodes:
         pytest.param(lambda path: path.write_text(path.read_text().replace(
             '"test_row_ids": [', '"test_row_ids": [["U000027", ["A41"]], ')),
             4, "not a split manifest", id="row-id-not-text"),
+        *(pytest.param(lambda path, entry=entry: path.write_text(path.read_text().replace(
+            '"test_row_ids": [', f'"test_row_ids": [{entry}, ')), 4,
+            f"is not a split manifest: row id {json.loads(entry)!r}", id=f"row-id-{name}")
+          for name, entry in (("string", '"U000027"'), ("numbers", "[27, 101]"),
+                              ("triple", '["U000070", "A101", "A102"]'))),
         pytest.param(lambda path: path.write_text(path.read_text().replace(
             '"test_row_ids": [', '"test_row_ids": [["U000070", "A101"], ')),
             4, "split_manifest.json lists row ['U000070', 'A101'] 2 times", id="row-on-both-sides"),

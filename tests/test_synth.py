@@ -168,3 +168,12 @@ def test_invalid_fraction_rejected():
 def test_unknown_signal_kind_rejected():
     with pytest.raises(ConfigError):
         SignalSpec("diagnosis", "428", 1.0)
+
+
+def test_more_than_twelve_signals_rejected():
+    """Calibration sums over all 2^k carrier patterns of k signals on each
+    bisection step, so the generator refuses more than 12."""
+    signals = (SignalSpec("comorbidity", "4280", 1.0),) * 13
+    GeneratorConfig(n_users=10, signals=signals[:12])
+    with pytest.raises(ConfigError, match="at most 12 signals, got 13"):
+        GeneratorConfig(n_users=10, signals=signals)

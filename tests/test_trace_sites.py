@@ -4,7 +4,8 @@
 their callers look them up through. A renamed function, or a call that no
 longer goes through one of those attributes, would leave its layer without
 spans and zero its ``--trace 1`` metrics without failing the benchmark, so
-a tiny episodes -> evaluate run checks that every layer records a span.
+a tiny episodes -> evaluate run checks that every layer records a span,
+and that each of the four claims file reads records its own.
 """
 
 import importlib.util
@@ -43,3 +44,8 @@ def test_every_layer_records_a_span(tmp_path, monkeypatch):
             getattr(pipeline, f"stage_{stage}")(cfg, tmp_path)
     recorded = {span.name.split(".", 1)[0] for span in tracer.spans}
     assert [layer for layer in layers.LAYERS if layer not in recorded] == []
+    # Each claims file read is one span under its stage: a parser call that
+    # bypassed the pipeline module's attribute would go missing here.
+    parses = [tracer.spans[span.parent].name for span in tracer.spans
+              if span.name == "claims.parse"]
+    assert parses == ["pipeline.stage_episodes"] + ["pipeline.stage_features"] * 3
